@@ -1,23 +1,15 @@
 // Ablation benchmarks for the extension subsystems: the disk-based
-// Hexastore (§7 future work), database cracking (§6), the Kowari cyclic
-// baseline as a real store (§2.2.2), the cost-based SPARQL planner
-// ([41]), and the Turtle front end. These complement the per-figure
-// benchmarks in bench_test.go.
+// Hexastore (§7 future work) and the Turtle front end. These complement
+// the per-figure benchmarks in bench_test.go.
 package hexastore_test
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
 	"hexastore/internal/core"
-	"hexastore/internal/cracking"
 	"hexastore/internal/disk"
-	"hexastore/internal/graph"
-	"hexastore/internal/kowari"
 	"hexastore/internal/rdf"
-	"hexastore/internal/sparql"
 )
 
 // BenchmarkDiskVsMemory compares the in-memory sextuple store with the
@@ -72,160 +64,6 @@ func BenchmarkDiskVsMemory(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCrackingVsPresorted quantifies the §6 trade-off: paying a
-// full sort at load time versus cracking the column incrementally as a
-// side effect of the query workload. "FirstTouch" includes construction
-// plus one pass over every property; "Converged" measures the steady
-// state after the workload has cracked (or sorted) everything.
-func BenchmarkCrackingVsPresorted(b *testing.B) {
-	s, _ := lubmFixture(b)
-	var data []cracking.Triple
-	s.Hexa.Match(core.None, core.None, core.None, func(sub, p, o core.ID) bool {
-		data = append(data, cracking.Triple{p, sub, o}) // pso permutation
-		return true
-	})
-	props := s.Hexa.HeadIDs(core.PSO)
-
-	b.Run("PresortedFirstTouch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cp := append([]cracking.Triple(nil), data...)
-			sortPSO(cp)
-			n := 0
-			for _, p := range props {
-				scanSorted(cp, p, func(cracking.Triple) { n++ })
-			}
-		}
-	})
-	b.Run("CrackingFirstTouch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			col := cracking.NewColumn(append([]cracking.Triple(nil), data...))
-			n := 0
-			for _, p := range props {
-				col.Scan(p, func(cracking.Triple) bool { n++; return true })
-			}
-		}
-	})
-
-	sorted := append([]cracking.Triple(nil), data...)
-	sortPSO(sorted)
-	col := cracking.NewColumn(append([]cracking.Triple(nil), data...))
-	for _, p := range props {
-		col.Scan(p, func(cracking.Triple) bool { return true })
-	}
-	b.Run("PresortedConverged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, p := range props {
-				scanSorted(sorted, p, func(cracking.Triple) { n++ })
-			}
-		}
-	})
-	b.Run("CrackingConverged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, p := range props {
-				col.Scan(p, func(cracking.Triple) bool { n++; return true })
-			}
-		}
-	})
-}
-
-func sortPSO(ts []cracking.Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-}
-
-// scanSorted binary-searches the presorted column for head p.
-func scanSorted(ts []cracking.Triple, p core.ID, fn func(cracking.Triple)) {
-	lo, hi := 0, len(ts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ts[mid][0] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ; lo < len(ts) && ts[lo][0] == p; lo++ {
-		fn(ts[lo])
-	}
-}
-
-// BenchmarkKowariStoreVsHexastore compares the real cyclic-index store
-// with the sextuple store on the operation §2.2.2 singles out: a sorted
-// subject list for a property, which Kowari must assemble and sort from
-// its pos ordering while the Hexastore reads its pso vector keys.
-func BenchmarkKowariStoreVsHexastore(b *testing.B) {
-	s, ids := lubmFixture(b)
-	kb := kowari.NewBuilder(s.Dict)
-	s.Hexa.Match(core.None, core.None, core.None, func(sub, p, o core.ID) bool {
-		kb.Add(sub, p, o)
-		return true
-	})
-	ks := kb.Build()
-	p := ids.TeacherOf
-
-	b.Run("HexastorePSOKeys", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = s.Hexa.Head(core.PSO, p).Keys()
-		}
-	})
-	b.Run("KowariSortFromPOS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ks.SubjectsForProperty(p)
-		}
-	})
-}
-
-// BenchmarkPlannerStatsVsGreedy compares the default greedy pattern
-// ordering with the statistics-driven planner on a join where ordering
-// matters: a highly selective pattern buried behind an unselective one.
-func BenchmarkPlannerStatsVsGreedy(b *testing.B) {
-	st := core.New()
-	rng := rand.New(rand.NewSource(77))
-	common := rdf.NewIRI("common")
-	rare := rdf.NewIRI("rare")
-	for i := 0; i < 30_000; i++ {
-		st.AddTriple(rdf.T(numIRI("s", rng.Intn(3000)), common, numIRI("o", rng.Intn(3000))))
-	}
-	for i := 0; i < 30; i++ {
-		st.AddTriple(rdf.T(numIRI("s", i), rare, rdf.NewLiteral("x")))
-	}
-	src := `SELECT ?s ?o WHERE { ?s <common> ?o . ?s <rare> "x" }`
-	q, err := sparql.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := sparql.NewPlanner(graph.Memory(st))
-
-	b.Run("GreedyDefault", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sparql.Eval(graph.Memory(st), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("StatsPlanner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.Eval(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func numIRI(prefix string, n int) rdf.Term {
-	return rdf.NewIRI(prefix + itoa(n))
 }
 
 func itoa(n int) string {

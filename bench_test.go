@@ -11,6 +11,7 @@ package hexastore_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -452,12 +453,12 @@ func BenchmarkSPARQLJoinWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := graph.Memory(s.Hexa)
+	pl := sparql.NewPlanner(graph.Memory(s.Hexa))
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.EvalWorkers(g, q, workers); err != nil {
+				if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -502,9 +503,10 @@ func BenchmarkSPARQLJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pl := sparql.NewPlanner(graph.Memory(s.Hexa))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sparql.Eval(graph.Memory(s.Hexa), q); err != nil {
+		if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -539,11 +541,11 @@ func BenchmarkSPARQLJoinCompression(b *testing.B) {
 			for _, t := range data {
 				bld.AddTriple(t)
 			}
-			st := bld.BuildParallel(1)
+			pl := sparql.NewPlanner(graph.Memory(bld.BuildParallel(1)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Eval(graph.Memory(st), q); err != nil {
+				if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -598,9 +600,11 @@ func BenchmarkSPARQLJoinBackends(b *testing.B) {
 		}
 		for _, be := range backends {
 			b.Run(bq.ID+"/"+be.name, func(b *testing.B) {
+				pl := sparql.NewPlanner(be.g)
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sparql.Eval(be.g, q); err != nil {
+					if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -637,18 +641,20 @@ func BenchmarkWrite01(b *testing.B) {
 
 	b.Run("Locked", func(b *testing.B) {
 		g := graph.Memory(build())
+		pl := sparql.NewPlanner(g)
 		var mu sync.RWMutex
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			err := bench.MixedWorkload(func() error {
 				mu.RLock()
 				defer mu.RUnlock()
-				_, err := sparql.Eval(g, q)
+				_, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 				return err
 			}, func(ops []graph.TripleOp) error {
 				mu.Lock()
 				defer mu.Unlock()
 				_, _, err := graph.ApplyTriples(g, ops)
+				pl.Refresh()
 				return err
 			}, fmt.Sprintf("locked%d", i))
 			if err != nil {
@@ -671,13 +677,15 @@ func BenchmarkWrite01(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ov.Close()
+			pl := sparql.NewPlanner(ov)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := bench.MixedWorkload(func() error {
-					_, err := sparql.Eval(ov, q)
+					_, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 					return err
 				}, func(ops []graph.TripleOp) error {
 					_, _, err := ov.ApplyTriples(ops)
+					pl.Refresh()
 					return err
 				}, fmt.Sprintf("%s%d", name, i))
 				if err != nil {

@@ -46,7 +46,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		listFlag = flag.Bool("list", false, "list known figure ids and exit")
-		ablation = flag.String("ablation", "", "comma-separated extension ablations (disk,cracking,kowari) or 'all'")
 		write    = flag.Bool("write", false, "run the write01 mixed read/write figure (locked store vs MVCC overlay vs overlay+WAL)")
 		jsonOut  = flag.Bool("json", false, "also run the bulk-load, mixed read/write and SPARQL-engine suites and write timings+allocs to BENCH_<rev>.json")
 		rev      = flag.String("rev", "", "revision label for the -json snapshot (default: current git short hash, else 'dev')")
@@ -101,9 +100,6 @@ func main() {
 		for _, id := range bench.FigureIDs {
 			fmt.Println(id)
 		}
-		for _, id := range bench.AblationIDs {
-			fmt.Println("ablation-" + id)
-		}
 		for _, id := range bench.LoadFigureIDs {
 			fmt.Println(id)
 		}
@@ -128,8 +124,8 @@ func main() {
 	var ids []string
 	if *figFlag != "" {
 		ids = strings.Split(*figFlag, ",")
-	} else if !*all && *ablation == "" && !*jsonOut && !*write {
-		fmt.Fprintln(os.Stderr, "hexbench: pass -all, -fig <ids>, -ablation <ids>, -write, or -json; see -list for ids")
+	} else if !*all && !*jsonOut && !*write {
+		fmt.Fprintln(os.Stderr, "hexbench: pass -all, -fig <ids>, -write, or -json; see -list for ids")
 		os.Exit(2)
 	}
 
@@ -195,16 +191,6 @@ func main() {
 	if *all || len(ids) > 0 {
 		runSuite(func(cfg bench.Config, progress func(string)) ([]*bench.Figure, error) {
 			return bench.Run(cfg, ids, progress)
-		})
-	}
-
-	if *ablation != "" {
-		var abl []string
-		if *ablation != "all" {
-			abl = strings.Split(*ablation, ",")
-		}
-		runSuite(func(cfg bench.Config, progress func(string)) ([]*bench.Figure, error) {
-			return bench.RunAblations(cfg, abl, progress)
 		})
 	}
 

@@ -120,41 +120,39 @@ func main() {
 	}
 	triples = g.Len()
 
+	q, err := sparql.Parse(src)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
+		os.Exit(1)
+	}
+	// The flags mirror the in-query EXPLAIN [ANALYZE] prefix; a prefix
+	// already present in the query text wins.
+	if q.Explain == sparql.ExplainNone {
+		if *explain {
+			q.Explain = sparql.ExplainPlan
+		} else if *explainAnalyze {
+			q.Explain = sparql.ExplainExec
+		}
+	}
+	var opt sparql.EvalOptions
+	if q.Explain != sparql.ExplainNone {
+		opt.Trace = obs.NewTrace("query")
+	}
+	pl := sparql.NewPlanner(g)
+
 	start := time.Now()
-	var res *hexastore.Result
-	if *explain || *explainAnalyze {
-		q, perr := sparql.Parse(src)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "hexquery: %v\n", perr)
-			os.Exit(1)
-		}
-		// The flags mirror the in-query EXPLAIN [ANALYZE] prefix; a
-		// prefix already present in the query text wins.
-		if q.Explain == sparql.ExplainNone {
-			if *explain {
-				q.Explain = sparql.ExplainPlan
-			} else {
-				q.Explain = sparql.ExplainExec
-			}
-		}
-		tr := obs.NewTrace("query")
-		res, err = sparql.EvalOpts(context.Background(), g, q, sparql.EvalOptions{Trace: tr})
-		tr.Finish()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
-			os.Exit(1)
-		}
-		tr.WriteTree(os.Stdout)
+	res, err := pl.EvalOpts(context.Background(), q, opt)
+	opt.Trace.Finish()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
+		os.Exit(1)
+	}
+	if opt.Trace != nil {
+		opt.Trace.WriteTree(os.Stdout)
 		if q.Explain == sparql.ExplainPlan {
 			fmt.Fprintf(os.Stderr, "planned in %v over %d triples\n", time.Since(start), triples)
 			return
 		}
-	} else {
-		res, err = sparql.ExecSource(g, src)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hexquery: %v\n", err)
-		os.Exit(1)
 	}
 	elapsed := time.Since(start)
 

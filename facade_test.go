@@ -51,8 +51,7 @@ func TestPlannerFacade(t *testing.T) {
 	st := hexastore.New()
 	st.AddTriple(hexastore.T(hexastore.IRI("a"), hexastore.IRI("p"), hexastore.IRI("b")))
 	st.AddTriple(hexastore.T(hexastore.IRI("b"), hexastore.IRI("p"), hexastore.IRI("c")))
-	pl := hexastore.NewPlanner(st)
-	res, err := pl.Exec(`SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`)
+	res, err := hexastore.Query(st, `SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -494,12 +494,7 @@ func (db *DB) ClusterStats() (stats shard.Stats, ok bool) {
 
 // planner returns the handle's cost-based planner, building dataset
 // statistics on first use (Open stays O(1); the first query pays the
-// scan) and refreshing them lazily once the store has drifted ≥10% from
-// the summary they were built on. A refresh bumps the planner's stats
-// epoch — invalidating memoized plans — but stale statistics between
-// refreshes only degrade join ordering, never correctness: the result
-// cache keys on the store's snapshot epoch, which every write bumps
-// immediately.
+// build). Writes through the handle refresh it (see refreshPlanner).
 func (db *DB) planner() *sparql.Planner {
 	db.plMu.Lock()
 	defer db.plMu.Unlock()
@@ -514,17 +509,19 @@ func (db *DB) planner() *sparql.Planner {
 			pl.SetResultCacheBytes(DefaultResultCacheBytes)
 		}
 		db.pl = pl
-		return pl
-	}
-	built := db.pl.Stats().Triples
-	drift := db.Graph.Len() - built
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift > 0 && drift*10 >= built {
-		db.pl.Refresh()
 	}
 	return db.pl
+}
+
+// refreshPlanner applies the planner's refresh rule after a write, when
+// a planner has been built.
+func (db *DB) refreshPlanner() {
+	db.plMu.Lock()
+	pl := db.pl
+	db.plMu.Unlock()
+	if pl != nil {
+		pl.Refresh()
+	}
 }
 
 // CacheStats reports the handle's plan- and result-cache counters
@@ -554,13 +551,21 @@ func (db *DB) wlock() func() {
 // AddTriple dictionary-encodes and inserts a triple.
 func (db *DB) AddTriple(t Triple) (bool, error) {
 	defer db.wlock()()
-	return graph.AddTriple(db.Graph, t)
+	added, err := graph.AddTriple(db.Graph, t)
+	if added {
+		db.refreshPlanner()
+	}
+	return added, err
 }
 
 // RemoveTriple deletes a triple.
 func (db *DB) RemoveTriple(t Triple) (bool, error) {
 	defer db.wlock()()
-	return graph.RemoveTriple(db.Graph, t)
+	removed, err := graph.RemoveTriple(db.Graph, t)
+	if removed {
+		db.refreshPlanner()
+	}
+	return removed, err
 }
 
 // HasTriple reports whether a triple is present.
@@ -644,6 +649,9 @@ func (db *DB) UpdateContext(ctx context.Context, src string) (*UpdateResult, err
 	res, err := sparql.ExecUpdateContext(ctx, db.Graph, src)
 	if err != nil {
 		return res, err
+	}
+	if res.Inserted > 0 || res.Deleted > 0 {
+		db.refreshPlanner()
 	}
 	return res, db.Flush()
 }
@@ -739,29 +747,18 @@ func WriteNTriples(g Graph, w io.Writer) error {
 
 // Query parses and evaluates a SPARQL-subset SELECT query against the
 // in-memory store st. See package sparql for the supported grammar
-// (PREFIX, FILTER, OPTIONAL, UNION, ORDER BY, LIMIT, OFFSET). For other
-// backends use QueryGraph or a DB handle from Open.
+// (PREFIX, FILTER, OPTIONAL, UNION, ORDER BY, LIMIT, OFFSET). Each call
+// plans with fresh statistics; to run many queries, open a DB handle,
+// which keeps its planner and query caches across queries.
 func Query(st *Store, src string) (*Result, error) { return sparql.Exec(graph.Memory(st), src) }
 
 // QueryGraph parses and evaluates a SPARQL-subset SELECT/ASK query
-// against any Graph backend.
+// against any Graph backend, planning with fresh statistics (see Query).
 func QueryGraph(g Graph, src string) (*Result, error) { return sparql.Exec(g, src) }
 
 // Update parses and applies a SPARQL UPDATE request (INSERT DATA /
 // DELETE DATA) against any Graph backend.
 func Update(g Graph, src string) (*UpdateResult, error) { return sparql.ExecUpdate(g, src) }
-
-// Planner evaluates queries with cost-based pattern ordering driven by
-// dataset statistics. Build one per store and reuse it across queries.
-type Planner = sparql.Planner
-
-// NewPlanner builds dataset statistics for the in-memory store st and
-// returns a cost-based query planner.
-func NewPlanner(st *Store) *Planner { return sparql.NewPlanner(graph.Memory(st)) }
-
-// NewGraphPlanner builds dataset statistics for any Graph backend and
-// returns a cost-based query planner.
-func NewGraphPlanner(g Graph) *Planner { return sparql.NewPlanner(g) }
 
 // LoadTurtle bulk-loads a Turtle stream into a new Store. The supported
 // Turtle subset covers @prefix/@base, prefixed names, 'a', predicate and

@@ -259,10 +259,6 @@ func prefixSizes(n, steps int) []int {
 	return out
 }
 
-// timeBest is measureBest reduced to the duration, for callers that
-// track seconds only (the ablation sweeps).
-func timeBest(repeats int, fn func()) float64 { return measureBest(repeats, fn).Value }
-
 // measureBest runs fn repeats times and returns the fastest wall-clock
 // duration in seconds together with that run's heap allocation count.
 func measureBest(repeats int, fn func()) Point {

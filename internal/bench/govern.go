@@ -63,6 +63,7 @@ func governCheapQueries(data []rdf.Triple) ([]*sparql.Query, error) {
 // bounded in both modes.
 func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, governed bool) (p50, p99 float64, err error) {
 	ctx, cancel := context.WithCancel(context.Background())
+	pl := sparql.NewPlanner(g)
 	var wg sync.WaitGroup
 	for i := 0; i < governHogs; i++ {
 		wg.Add(1)
@@ -76,7 +77,7 @@ func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, govern
 					opt.MemBudget = governHogBudget
 					hctx, hcancel = context.WithTimeout(ctx, governHogTimeout)
 				}
-				_, _ = sparql.EvalOpts(hctx, g, hog, opt) //nolint:errcheck // hog outcomes are the governor's business
+				_, _ = pl.EvalOpts(hctx, hog, opt) //nolint:errcheck // hog outcomes are the governor's business
 				hcancel()
 			}
 		}()
@@ -86,7 +87,7 @@ func governPoint(g graph.Graph, cheap []*sparql.Query, hog *sparql.Query, govern
 	for s := 0; s < governSamples; s++ {
 		for _, q := range cheap {
 			start := time.Now()
-			if _, qerr := sparql.EvalWorkers(g, q, 1); qerr != nil {
+			if _, qerr := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: 1}); qerr != nil {
 				err = qerr
 			}
 			lat = append(lat, time.Since(start).Seconds())

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,13 +118,17 @@ func RunSPARQL(cfg Config, progress func(string)) ([]*Figure, error) {
 			{"Hexastore", graph.Memory(s.Hexa)},
 			{"Baseline", graph.Baseline(base)},
 		}
+		planners := map[string]*sparql.Planner{}
+		for _, b := range backends {
+			planners[b.name] = sparql.NewPlanner(b.g)
+		}
 		for qi := range SPARQLQueries {
 			q := parsed[qi]
 			for _, b := range backends {
-				g := b.g
+				pl := planners[b.name]
 				var evalErr error
 				p := measureBest(cfg.Repeats, func() {
-					if _, err := sparql.EvalWorkers(g, q, cfg.Workers); err != nil && evalErr == nil {
+					if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: cfg.Workers}); err != nil && evalErr == nil {
 						evalErr = err
 					}
 				})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -52,6 +53,7 @@ func ShardQueries(data []rdf.Triple) ([]*sparql.Query, error) {
 // the hexbench shard01 figure and BenchmarkShard01.
 func ShardReadWorkload(g graph.Graph, queries []*sparql.Query) error {
 	const readers, rounds = 4, 5
+	pl := sparql.NewPlanner(g)
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers)
 	for r := 0; r < readers; r++ {
@@ -60,7 +62,7 @@ func ShardReadWorkload(g graph.Graph, queries []*sparql.Query) error {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				for _, q := range queries {
-					if _, err := sparql.EvalWorkers(g, q, 1); err != nil {
+					if _, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: 1}); err != nil {
 						errCh <- err
 						return
 					}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,12 +33,17 @@ const writeMixQuery = `SELECT ?student ?course WHERE {
 type lockedGraph struct {
 	mu sync.RWMutex
 	g  graph.Graph
+	pl *sparql.Planner
+}
+
+func newLockedGraph(g graph.Graph) *lockedGraph {
+	return &lockedGraph{g: g, pl: sparql.NewPlanner(g)}
 }
 
 func (l *lockedGraph) query(q *sparql.Query) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, err := sparql.Eval(l.g, q)
+	_, err := l.pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 	return err
 }
 
@@ -45,20 +51,29 @@ func (l *lockedGraph) update(ops []graph.TripleOp) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, _, err := graph.ApplyTriples(l.g, ops)
+	l.pl.Refresh()
 	return err
 }
 
 // overlayGraph is the live-update path: snapshot-pinned queries, no
 // request lock in either direction.
-type overlayGraph struct{ ov *delta.Overlay }
+type overlayGraph struct {
+	ov *delta.Overlay
+	pl *sparql.Planner
+}
+
+func newOverlayGraph(ov *delta.Overlay) overlayGraph {
+	return overlayGraph{ov: ov, pl: sparql.NewPlanner(ov)}
+}
 
 func (o overlayGraph) query(q *sparql.Query) error {
-	_, err := sparql.Eval(o.ov, q)
+	_, err := o.pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 	return err
 }
 
 func (o overlayGraph) update(ops []graph.TripleOp) error {
 	_, _, err := o.ov.ApplyTriples(ops)
+	o.pl.Refresh()
 	return err
 }
 
@@ -199,7 +214,7 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 			)
 			switch name {
 			case "Locked":
-				ms = &lockedGraph{g: graph.Memory(build(false))}
+				ms = newLockedGraph(graph.Memory(build(false)))
 			default:
 				opts := delta.Options{}
 				if name == "Overlay+WAL" {
@@ -210,7 +225,7 @@ func RunWrite(cfg Config, progress func(string)) ([]*Figure, error) {
 				if oerr != nil {
 					return nil, oerr
 				}
-				ms = overlayGraph{ov: ov}
+				ms = newOverlayGraph(ov)
 				closeFn = ov.Close
 			}
 

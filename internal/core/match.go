@@ -37,43 +37,35 @@ func (st *Store) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 
 	switch {
 	case s != None && p != None && o != None:
-		st.advisor.hit(SPO)
 		if terminal(SPO, st.objLists, pairKey{s, p}).Contains(o) {
 			fn(s, p, o)
 		}
 
 	case s != None && p != None:
-		st.advisor.hit(SPO)
 		terminal(SPO, st.objLists, pairKey{s, p}).Range(func(obj ID) bool {
 			return fn(s, p, obj)
 		})
 
 	case s != None && o != None:
-		st.advisor.hit(SOP)
 		terminal(SOP, st.propLists, pairKey{s, o}).Range(func(prop ID) bool {
 			return fn(s, prop, o)
 		})
 
 	case p != None && o != None:
-		st.advisor.hit(POS)
 		terminal(POS, st.subjLists, pairKey{p, o}).Range(func(subj ID) bool {
 			return fn(subj, p, o)
 		})
 
 	case s != None:
-		st.advisor.hit(SPO)
 		st.walkHead(SPO, s, func(prop, obj ID) bool { return fn(s, prop, obj) })
 
 	case p != None:
-		st.advisor.hit(PSO)
 		st.walkHead(PSO, p, func(subj, obj ID) bool { return fn(subj, p, obj) })
 
 	case o != None:
-		st.advisor.hit(OSP)
 		st.walkHead(OSP, o, func(subj, prop ID) bool { return fn(subj, prop, o) })
 
 	default:
-		st.advisor.hit(SPO)
 		// scanHead walks one subject's spo vector; false stops the scan.
 		scanHead := func(subj ID) bool {
 			stop := false
@@ -118,13 +110,10 @@ func (st *Store) walkHead(ix Index, head ID, fn func(key, member ID) bool) {
 	})
 }
 
-// Count returns the number of triples matching the pattern without
-// materializing them.
-func (st *Store) Count(s, p, o ID) int {
-	n := 0
-	st.Match(s, p, o, func(_, _, _ ID) bool { n++; return true })
-	return n
-}
+// Count returns the number of triples matching the pattern. It reads
+// the answer off the indexes (PatternCardinality) instead of streaming
+// the matches.
+func (st *Store) Count(s, p, o ID) int { return st.PatternCardinality(s, p, o) }
 
 // Triples returns all matching triples as a slice of [3]ID. Intended for
 // tests and small results; large scans should use Match.

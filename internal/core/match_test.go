@@ -169,3 +169,50 @@ func TestDecodeMatch(t *testing.T) {
 		t.Errorf("DecodeMatch = %v, want [%v]", got, tr)
 	}
 }
+
+// TestCountEqualsMatchCount checks that the index-answered Count agrees
+// with counting Match's stream for all eight bound/unbound shapes, in
+// both layouts, before and after in-place writes (the first of which
+// turns a compressed store raw).
+func TestCountEqualsMatchCount(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		b := NewBuilder(nil)
+		b.SetCompression(compress)
+		for i := 0; i < 400; i++ {
+			b.Add(ID(rng.Intn(30)+1), ID(rng.Intn(5)+100), ID(rng.Intn(40)+1))
+		}
+		st := b.Build()
+		if st.Compressed() != compress {
+			t.Fatalf("Compressed() = %v, want %v", st.Compressed(), compress)
+		}
+		check := func(phase string) {
+			t.Helper()
+			// Ids 1..40 cover subjects and objects, 100..104 the
+			// predicates; 0 (None) is the wildcard and 999 is absent.
+			ids := []ID{None, 1, 7, 29, 40, 100, 104, 999}
+			for _, s := range ids {
+				for _, p := range ids {
+					for _, o := range ids {
+						n := 0
+						st.Match(s, p, o, func(_, _, _ ID) bool { n++; return true })
+						if got := st.Count(s, p, o); got != n {
+							t.Fatalf("compress=%v %s: Count(%d,%d,%d) = %d, Match streams %d",
+								compress, phase, s, p, o, got, n)
+						}
+					}
+				}
+			}
+		}
+		check("built")
+		for i := 0; i < 200; i++ {
+			s, p, o := ID(rng.Intn(30)+1), ID(rng.Intn(5)+100), ID(rng.Intn(40)+1)
+			if i%3 == 0 {
+				st.Remove(s, p, o)
+			} else {
+				st.Add(s, p, o)
+			}
+		}
+		check("after Add/Remove")
+	}
+}

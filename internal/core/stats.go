@@ -191,3 +191,31 @@ func EstimateRawIndexBytes(s Stats) int64 {
 		int64(pairs)*(listStruct+allocSlack) +
 		int64(s.ListEntries)*8
 }
+
+// PredicateCounts is one predicate's share of the store: its triples
+// and its distinct subjects and objects.
+type PredicateCounts struct {
+	P                          ID
+	Triples, Subjects, Objects int
+}
+
+// Predicates returns the counts of every predicate, in unspecified
+// order, read off the pso and pos head vectors (lengths and list
+// totals) without touching a triple. The whole read happens under one
+// read-lock acquisition, so it is safe alongside writers.
+func (st *Store) Predicates() []PredicateCounts {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.compressed {
+		out := make([]PredicateCounts, 0, len(st.pidx[PSO]))
+		for p, pk := range st.pidx[PSO] {
+			out = append(out, PredicateCounts{P: p, Triples: pk.Total(), Subjects: pk.Len(), Objects: st.pidx[POS][p].Len()})
+		}
+		return out
+	}
+	out := make([]PredicateCounts, 0, len(st.idx[PSO]))
+	for p, v := range st.idx[PSO] {
+		out = append(out, PredicateCounts{P: p, Triples: vecSumLocked(v), Subjects: v.Len(), Objects: st.idx[POS][p].Len()})
+	}
+	return out
+}

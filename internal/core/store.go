@@ -108,8 +108,6 @@ type Store struct {
 	// backs the graph.Epocher capability: result caches key on it, so it
 	// must change whenever query answers can change.
 	version atomic.Uint64
-
-	advisor Advisor
 }
 
 // Epoch returns the store's content-version token (see graph.Epocher).
@@ -343,7 +341,6 @@ func getOrCreate(m map[pairKey]*idlist.List, k pairKey) (l *idlist.List, created
 func (st *Store) Head(ix Index, head ID) *Vec {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.advisor.hit(ix)
 	if st.compressed {
 		if pk := st.pidx[ix][head]; pk != nil {
 			return idlist.FromPacked(pk)
@@ -388,7 +385,6 @@ func (st *Store) HeadIDs(ix Index) []ID {
 func (st *Store) Objects(s, p ID) *idlist.List {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.advisor.hit(SPO)
 	if st.compressed {
 		if v, ok := st.pidx[SPO][s].Find(p); ok {
 			return idlist.ListOf(v)
@@ -402,7 +398,6 @@ func (st *Store) Objects(s, p ID) *idlist.List {
 func (st *Store) Subjects(p, o ID) *idlist.List {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.advisor.hit(POS)
 	if st.compressed {
 		if v, ok := st.pidx[POS][p].Find(o); ok {
 			return idlist.ListOf(v)
@@ -416,7 +411,6 @@ func (st *Store) Subjects(p, o ID) *idlist.List {
 func (st *Store) Properties(s, o ID) *idlist.List {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.advisor.hit(SOP)
 	if st.compressed {
 		if v, ok := st.pidx[SOP][s].Find(o); ok {
 			return idlist.ListOf(v)
@@ -445,7 +439,7 @@ func (st *Store) TerminalList(s, p, o ID) *idlist.List {
 	}
 }
 
-// terminalListLocked is TerminalList without locking or advisor hits;
+// terminalListLocked is TerminalList without locking;
 // the caller must hold st.mu.
 func (st *Store) terminalListLocked(s, p, o ID) *idlist.List {
 	switch {
@@ -482,22 +476,16 @@ func (st *Store) PatternCardinality(s, p, o ID) int {
 		}
 		return 0
 	case s != None && p != None:
-		st.advisor.hit(SPO)
 		return st.objLists[pairKey{s, p}].Len()
 	case s != None && o != None:
-		st.advisor.hit(SOP)
 		return st.propLists[pairKey{s, o}].Len()
 	case p != None && o != None:
-		st.advisor.hit(POS)
 		return st.subjLists[pairKey{p, o}].Len()
 	case s != None:
-		st.advisor.hit(SPO)
 		return vecSumLocked(st.idx[SPO][s])
 	case p != None:
-		st.advisor.hit(PSO)
 		return vecSumLocked(st.idx[PSO][p])
 	case o != None:
-		st.advisor.hit(OSP)
 		return vecSumLocked(st.idx[OSP][o])
 	default:
 		return st.size
@@ -514,23 +502,13 @@ func (st *Store) patternCardinalityCompressedLocked(s, p, o ID) int {
 			return 1
 		}
 		return 0
-	case s != None && p != None:
-		st.advisor.hit(SPO)
-		return st.terminalViewLocked(s, p, o).Len()
-	case s != None && o != None:
-		st.advisor.hit(SOP)
-		return st.terminalViewLocked(s, p, o).Len()
-	case p != None && o != None:
-		st.advisor.hit(POS)
+	case s != None && p != None, s != None && o != None, p != None && o != None:
 		return st.terminalViewLocked(s, p, o).Len()
 	case s != None:
-		st.advisor.hit(SPO)
 		return st.pidx[SPO][s].Total()
 	case p != None:
-		st.advisor.hit(PSO)
 		return st.pidx[PSO][p].Total()
 	case o != None:
-		st.advisor.hit(OSP)
 		return st.pidx[OSP][o].Total()
 	default:
 		return st.size
@@ -559,14 +537,6 @@ func vecSumLocked(v *Vec) int {
 func (st *Store) AppendSorted(dst []ID, s, p, o ID) []ID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	switch {
-	case o == None:
-		st.advisor.hit(SPO)
-	case p == None:
-		st.advisor.hit(SOP)
-	default:
-		st.advisor.hit(POS)
-	}
 	if st.compressed {
 		return st.terminalViewLocked(s, p, o).AppendTo(dst)
 	}
@@ -586,14 +556,6 @@ func (st *Store) SortedListView(s, p, o ID) (idlist.View, bool) {
 	defer st.mu.RUnlock()
 	if !st.compressed {
 		return idlist.View{}, false
-	}
-	switch {
-	case o == None:
-		st.advisor.hit(SPO)
-	case p == None:
-		st.advisor.hit(SOP)
-	default:
-		st.advisor.hit(POS)
 	}
 	return st.terminalViewLocked(s, p, o), true
 }
@@ -619,7 +581,6 @@ func (st *Store) SortedPairs(s, p, o ID, fn func(a, b ID) bool) {
 	default:
 		panic("core: SortedPairs needs exactly one bound position")
 	}
-	st.advisor.hit(ix)
 	stop := false
 	st.rangeHeadLocked(ix, head, func(key ID, view idlist.View) bool {
 		view.Range(func(member ID) bool {

@@ -291,23 +291,3 @@ func TestIndexString(t *testing.T) {
 		t.Errorf("Index(99).String() = %q", Index(99).String())
 	}
 }
-
-func TestAdvisorCountsHits(t *testing.T) {
-	st := New()
-	st.Add(1, 2, 3)
-	st.Advisor().Reset()
-	st.Objects(1, 2)
-	st.Objects(1, 2)
-	st.Subjects(2, 3)
-	hits := st.Advisor().Hits()
-	if hits[SPO] != 2 {
-		t.Errorf("spo hits = %d, want 2", hits[SPO])
-	}
-	if hits[POS] != 1 {
-		t.Errorf("pos hits = %d, want 1", hits[POS])
-	}
-	cold := st.Advisor().ColdIndexes(0)
-	if len(cold) != 4 {
-		t.Errorf("ColdIndexes(0) = %v, want 4 unused indices", cold)
-	}
-}

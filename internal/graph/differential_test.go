@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -223,18 +224,31 @@ func TestDifferentialOptional(t *testing.T) {
 	}
 }
 
-// TestDifferentialPlanner checks the cost-based planner agrees with the
-// default evaluator on every backend.
+// TestDifferentialPlanner checks that a held planner answers identically
+// on every backend, both when it plans a query and when it serves the
+// plan from its plan cache.
 func TestDifferentialPlanner(t *testing.T) {
 	src := `PREFIX ex: <http://ex/> SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z . ?x ex:age ?a }`
 	gs := backends(t, sampleTriples())
 	want := ""
 	for _, name := range []string{"baseline", "memory", "disk"} {
-		res, err := sparql.NewPlanner(gs[name]).Exec(src)
+		pl := sparql.NewPlanner(gs[name])
+		q, err := sparql.Parse(src)
 		if err != nil {
-			t.Fatalf("%s: planner Exec: %v", name, err)
+			t.Fatal(err)
+		}
+		res, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
+		if err != nil {
+			t.Fatalf("%s: planner: %v", name, err)
 		}
 		got := canon(res)
+		cached, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
+		if err != nil {
+			t.Fatalf("%s: planner (plan cache): %v", name, err)
+		}
+		if c := canon(cached); c != got {
+			t.Fatalf("%s: plan-cache answer differs:\n%s\nvs\n%s", name, c, got)
+		}
 		if want == "" {
 			want = got
 			continue
@@ -384,12 +398,13 @@ func TestDifferentialWorkers(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
 		for _, name := range []string{"baseline", "memory", "disk"} {
-			want, err := sparql.EvalWorkers(gs[name], q, 1)
+			pl := sparql.NewPlanner(gs[name])
+			want, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s workers=1: %v", name, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := sparql.EvalWorkers(gs[name], q, workers)
+				got, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}

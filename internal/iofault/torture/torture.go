@@ -30,6 +30,7 @@
 package torture
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -393,13 +394,14 @@ func crashRun(sc scenario, root string, script []batch, states []tripleState, se
 
 	// SPARQL differential: the recovered store and a fresh in-memory
 	// store built from reference state `match` must answer identically.
-	ref := buildReference(states[match])
+	ref := sparql.NewPlanner(buildReference(states[match]))
+	rec := sparql.NewPlanner(g)
 	for _, q := range diffQueries {
 		want, werr := queryCanon(ref, q)
 		if werr != nil {
 			return nil, fmt.Errorf("torture: reference query %q: %w", q, werr)
 		}
-		gotQ, gerr := queryCanon(g, q)
+		gotQ, gerr := queryCanon(rec, q)
 		if gerr != nil {
 			return viol("query %q on recovered store: %v", q, gerr), nil
 		}
@@ -600,10 +602,14 @@ var diffQueries = []string{
 	"ASK { <http://hex.test/s0> ?p ?o }",
 }
 
-// queryCanon runs q and renders the result in a canonical order-free
-// form so two stores can be compared textually.
-func queryCanon(g graph.Graph, q string) (string, error) {
-	res, err := sparql.NewPlanner(g).Exec(q)
+// queryCanon runs q with pl and renders the result in a canonical
+// order-free form so two stores can be compared textually.
+func queryCanon(pl *sparql.Planner, src string) (string, error) {
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return "", err
+	}
+	res, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
 	if err != nil {
 		return "", err
 	}

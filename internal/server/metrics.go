@@ -50,10 +50,10 @@ func (s *Server) metricsInit() {
 }
 
 // registerCacheMetrics publishes the planner's plan- and result-cache
-// counters. Func-backed against the live planner accessor, so in-place
-// stats refreshes and cache retuning are always reflected.
+// counters. Func-backed against the planner, so in-place stats
+// refreshes and cache retuning are always reflected.
 func (s *Server) registerCacheMetrics() {
-	cs := func() sparql.CacheStats { return s.planner().CacheStats() }
+	cs := func() sparql.CacheStats { return s.pl.CacheStats() }
 	s.reg.CounterFunc("hex_plan_cache_hits_total",
 		"Queries whose join order was served from the plan cache.",
 		func() float64 { return float64(cs().PlanHits) })

@@ -30,8 +30,8 @@ import (
 )
 
 // Server serves one Graph backend. It is safe for concurrent use: the
-// backend carries its own synchronization, the planner pointer is
-// guarded here, and mutating requests are serialized against query
+// backend and the planner carry their own synchronization, and mutating
+// requests are serialized against query
 // evaluation (see reqMu) — unless the backend offers consistent
 // snapshots (graph.Snapshotter, the delta overlay), in which case
 // queries and updates run fully concurrently: each query pins one
@@ -52,7 +52,7 @@ type Server struct {
 	// this lock entirely.
 	reqMu sync.RWMutex
 
-	mu sync.RWMutex
+	// pl plans every query and holds the plan and result caches.
 	pl *sparql.Planner
 
 	// readOnly rejects every mutating endpoint with 403; set for WAL
@@ -129,11 +129,11 @@ func NewGraph(g graph.Graph) *Server {
 
 // SetPlanCacheSize resizes the planner's query-shape plan cache
 // (entries; <= 0 disables it).
-func (s *Server) SetPlanCacheSize(n int) { s.planner().SetPlanCacheSize(n) }
+func (s *Server) SetPlanCacheSize(n int) { s.pl.SetPlanCacheSize(n) }
 
 // SetResultCacheBytes resizes the planner's snapshot-epoch result cache
 // (bytes; <= 0 disables it).
-func (s *Server) SetResultCacheBytes(n int64) { s.planner().SetResultCacheBytes(n) }
+func (s *Server) SetResultCacheBytes(n int64) { s.pl.SetResultCacheBytes(n) }
 
 // rlock acquires the shared request lock (no-op on snapshot backends)
 // and returns the unlock.
@@ -217,37 +217,6 @@ func (s *Server) Handler() http.Handler {
 // Off by default: profiling endpoints expose internals and add
 // overhead-on-demand, so they are strictly opt-in.
 func (s *Server) EnablePprof() { s.pprof = true }
-
-// planner returns the current planner snapshot.
-func (s *Server) planner() *sparql.Planner {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pl
-}
-
-// refreshPlanner rebuilds statistics after mutations, in place: the
-// planner's Refresh bumps its stats epoch (invalidating memoized plans)
-// but keeps the cache structures and their hit/miss counters, so a
-// stats refresh never looks like a cache restart in /metrics. On
-// memory-backed graphs the rebuild reads index heads and is cheap, so
-// it always runs. On other backends it costs a full scan, so it is
-// skipped until the store has drifted ≥10% from the cached summary:
-// stale statistics only degrade pattern ordering, never result
-// correctness (and the result cache keys on the snapshot epoch, not on
-// statistics, so it invalidates on the write itself either way).
-func (s *Server) refreshPlanner() {
-	if _, ok := graph.Unwrap(s.g).(*core.Store); !ok {
-		built := s.planner().Stats().Triples
-		drift := s.g.Len() - built
-		if drift < 0 {
-			drift = -drift
-		}
-		if built > 0 && drift*10 < built {
-			return
-		}
-	}
-	s.planner().Refresh()
-}
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -339,7 +308,7 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, updateText s
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.refreshPlanner()
+		s.pl.Refresh()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
@@ -422,7 +391,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "flush: %v", err)
 			return
 		}
-		s.refreshPlanner()
+		s.pl.Refresh()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int{"added": added, "total": s.g.Len()})
@@ -433,7 +402,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	sum := s.planner().Stats()
+	sum := s.pl.Stats()
 	out := map[string]any{
 		"triples":          s.g.Len(),
 		"dictionaryTerms":  s.g.Dictionary().Len(),
@@ -445,7 +414,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// for every backend, sharded included): plan-cache occupancy and
 	// hit/miss/eviction totals, result-cache bytes and totals, and how
 	// often a write invalidated the resident result epoch.
-	cs := s.planner().CacheStats()
+	cs := s.pl.CacheStats()
 	out["cache"] = map[string]any{
 		"planCacheEnabled":     cs.PlanEnabled,
 		"planCacheEntries":     cs.PlanEntries,

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 	"hexastore/internal/shard"
@@ -338,5 +340,90 @@ func TestCrossShardJoinSharedDictionary(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0]["z"].Value != b.Value {
 		t.Fatalf("cross-shard join = %v, want %s", res.Rows, b.Value)
+	}
+}
+
+// TestUnionBranchSpecificVariables pins the SPARQL semantics of a
+// projected variable that only some UNION branches bind: like an
+// OPTIONAL variable, it is unbound in the other branches' solutions
+// (the evaluator used to fail such queries with an internal "variable
+// unbound at solution" error). Checked on the memory store, the disk
+// store and a 3-shard cluster, with the plan and result caches on (each
+// query run twice, the repeat served from the caches) and off.
+func TestUnionBranchSpecificVariables(t *testing.T) {
+	triples := []rdf.Triple{
+		rdf.T(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/r")),
+		rdf.T(rdf.NewIRI("http://ex/r"), rdf.NewIRI("http://ex/q"), rdf.NewIRI("http://ex/b")),
+	}
+	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	cl, err := shard.OpenCluster(shard.Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	gs := map[string]graph.Graph{"memory": graph.Memory(core.New()), "disk": graph.Disk(ds), "shards=3": cl}
+	for name, g := range gs {
+		for _, tr := range triples {
+			if _, err := graph.AddTriple(g, tr); err != nil {
+				t.Fatalf("%s: AddTriple: %v", name, err)
+			}
+		}
+	}
+
+	const union = `{ { ?s ?p <http://ex/r> } UNION { <http://ex/r> ?p ?o } }`
+	cases := []struct {
+		src     string
+		want    string // canonical, order-free
+		ordered []string
+	}{
+		{src: `SELECT ?s ?o WHERE ` + union,
+			want: "o=<http://ex/b>;s=<unbound>;\no=<unbound>;s=<http://ex/a>;"},
+		{src: `SELECT DISTINCT ?s ?o WHERE ` + union,
+			want: "o=<http://ex/b>;s=<unbound>;\no=<unbound>;s=<http://ex/a>;"},
+		// ORDER BY a variable the first branch leaves unbound: unbound
+		// sorts first, so ?s=a precedes the row with ?s unbound.
+		{src: `SELECT ?s WHERE ` + union + ` ORDER BY ?o`,
+			want: "s=<http://ex/a>;\ns=<unbound>;", ordered: []string{"<http://ex/a>", ""}},
+	}
+	for name, g := range gs {
+		for _, caches := range []bool{true, false} {
+			pl := sparql.NewPlanner(g)
+			if caches {
+				pl.SetResultCacheBytes(1 << 20)
+			} else {
+				pl.SetPlanCacheSize(0)
+			}
+			for _, c := range cases {
+				q, err := sparql.Parse(c.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for run := 0; run < 2; run++ {
+					res, err := pl.EvalOpts(context.Background(), q, sparql.EvalOptions{})
+					if err != nil {
+						t.Fatalf("%s caches=%v run %d %q: %v", name, caches, run, c.src, err)
+					}
+					if got := canon(res); got != c.want {
+						t.Fatalf("%s caches=%v run %d %q:\ngot:\n%s\nwant:\n%s", name, caches, run, c.src, got, c.want)
+					}
+					for i, want := range c.ordered {
+						got := ""
+						if term, ok := res.Rows[i]["s"]; ok {
+							got = term.String()
+						}
+						if got != want {
+							t.Fatalf("%s caches=%v %q: row %d ?s = %q, want %q", name, caches, c.src, i, got, want)
+						}
+					}
+				}
+			}
+			if cs := pl.CacheStats(); caches && cs.ResultHits != uint64(len(cases)) {
+				t.Fatalf("%s: caches on but %d result-cache hits, want %d", name, cs.ResultHits, len(cases))
+			}
+		}
 	}
 }

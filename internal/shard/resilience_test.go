@@ -64,10 +64,18 @@ func TestFollowerReconnectConvergence(t *testing.T) {
 	f.Start()
 	defer f.Close()
 
+	// Converged means the follower has consumed the whole leader log, not
+	// just that the sizes agree: a batch that deletes as many triples as
+	// it inserts leaves Len unchanged, so equal sizes alone can be
+	// observed one batch early.
+	caughtUp := func() bool {
+		fi, err := os.Stat(walPath)
+		return err == nil && f.Stats().Offset == fi.Size()
+	}
 	waitConverged := func(leader *delta.Overlay) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for replica.Len() != leader.Len() {
+		for replica.Len() != leader.Len() || !caughtUp() {
 			if time.Now().After(deadline) {
 				t.Fatalf("replica stuck at %d of %d triples (stats %+v)",
 					replica.Len(), leader.Len(), f.Stats())

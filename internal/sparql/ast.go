@@ -1,9 +1,15 @@
 // Package sparql implements a small SPARQL subset — SELECT queries over
 // basic graph patterns — on top of the Hexastore. It demonstrates the
 // paper's claim of "quick and scalable general-purpose query processing":
-// the planner greedily orders triple patterns by selectivity and the
-// executor binds them with index lookups, never scanning tables that are
-// irrelevant to the query (§4.2, "Reduced I/O cost").
+// the planner orders triple patterns by estimated join size, priced from
+// statistics the sextuple indexes answer directly, and the executor
+// joins them with index lookups and merges over sorted lists, never
+// scanning tables that are irrelevant to the query (§4.2, "Reduced I/O
+// cost").
+//
+// Evaluation has two entry points: Exec runs one query with a throwaway
+// Planner, and Planner.EvalOpts runs many against the graph a Planner
+// was built for, with its plan and result caches.
 //
 // Supported grammar:
 //
@@ -257,35 +263,4 @@ func (q *Query) AllVars() []string {
 		add(opt)
 	}
 	return out
-}
-
-// OptionalVars returns the set of variables that occur only in optional
-// groups; these may legitimately be unbound in a solution.
-func (q *Query) OptionalVars() map[string]bool {
-	required := map[string]bool{}
-	for _, p := range q.Patterns {
-		for _, name := range p.Vars() {
-			required[name] = true
-		}
-	}
-	for _, u := range q.Unions {
-		for _, alt := range u {
-			for _, p := range alt {
-				for _, name := range p.Vars() {
-					required[name] = true
-				}
-			}
-		}
-	}
-	opt := map[string]bool{}
-	for _, group := range q.Optionals {
-		for _, p := range group {
-			for _, name := range p.Vars() {
-				if !required[name] {
-					opt[name] = true
-				}
-			}
-		}
-	}
-	return opt
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -199,7 +200,7 @@ func TestBatchRandomDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := NewPlanner(mem).Eval(q)
+			pres, err := NewPlanner(mem).EvalOpts(context.Background(), q, EvalOptions{})
 			if err != nil {
 				t.Fatalf("planner: %v", err)
 			}

@@ -14,7 +14,6 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/iofault"
 	"hexastore/internal/obs"
-	"hexastore/internal/query"
 	"hexastore/internal/rdf"
 	"hexastore/internal/stats"
 )
@@ -57,87 +56,37 @@ func (p *idPattern) term(j int) Term {
 	}
 }
 
-// Source is the store behaviour the evaluator needs. It is an alias of
-// graph.Graph, kept for compatibility with earlier releases where the
-// evaluator defined its own source interface.
-type Source = graph.Graph
-
-// SourceOf wraps an in-memory Hexastore as a Source.
-//
-// Deprecated: use graph.Memory.
-func SourceOf(st *core.Store) Source { return graph.Memory(st) }
-
 // Exec parses and evaluates src against any Graph backend — the
 // in-memory Hexastore (graph.Memory), the disk-based Hexastore, or the
-// baseline triples table (graph.Baseline).
+// baseline triples table (graph.Baseline) — planning with a throwaway
+// Planner. Callers that run more than one query against a graph should
+// hold a Planner for it and call EvalOpts: the statistics summary, the
+// plan cache and the result cache then outlive the query.
 func Exec(g graph.Graph, src string) (*Result, error) {
-	return ExecContext(context.Background(), g, src)
-}
-
-// ExecContext is Exec observing ctx: the evaluation stops with ctx.Err()
-// shortly after ctx is canceled or its deadline passes. Cancellation is
-// checked at block granularity — between join steps, once per row in the
-// per-row probe and expansion loops, and every 128 streamed candidates —
-// so an in-flight multi-way join stops within one block on every
-// backend, and a pinned snapshot is released promptly.
-func ExecContext(ctx context.Context, g graph.Graph, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return EvalContext(ctx, g, q)
+	return NewPlanner(g).EvalOpts(context.Background(), q, EvalOptions{})
 }
 
-// ExecSource parses and evaluates queryText against any Graph backend.
-//
-// Deprecated: ExecSource is Exec; it remains from when Exec required an
-// in-memory store.
-func ExecSource(g graph.Graph, queryText string) (*Result, error) {
-	return Exec(g, queryText)
-}
-
-// EvalSource evaluates a parsed query against any Graph backend.
-//
-// Deprecated: EvalSource is Eval.
-func EvalSource(g graph.Graph, q *Query) (*Result, error) {
-	return Eval(g, q)
-}
-
-// Eval evaluates a parsed query against any Graph backend.
+// EvalOpts evaluates a parsed query. ctx carries cancellation and
+// deadlines, opt the worker budget, the memory budget and tracing (see
+// EvalOptions); package-wide defaults installed with SetMaxWorkers and
+// SetDefaultLimits apply to whatever opt leaves unset.
 //
 // Planning: each UNION clause multiplies the query into branches (the
 // standard BGP rewriting); within a branch, required patterns are
-// ordered greedily — at every step the pattern with the most positions
-// bound is chosen, breaking ties by the engine's selectivity estimate
-// when the backend is the in-memory Hexastore (whose indexes answer
-// selectivity without scanning). Execution is a depth-first bind join:
-// each step substitutes the current bindings into its pattern and
-// probes the backend, which has the right index for every binding
-// combination that can arise (§4.2 of the paper). FILTERs run at the
-// earliest step where their variables are bound; OPTIONAL groups extend
-// solutions after the required patterns.
-func Eval(g graph.Graph, q *Query) (*Result, error) {
-	return EvalOpts(context.Background(), g, q, EvalOptions{})
-}
-
-// EvalContext is Eval observing ctx (see ExecContext for the
-// cancellation granularity).
-func EvalContext(ctx context.Context, g graph.Graph, q *Query) (*Result, error) {
-	return EvalOpts(ctx, g, q, EvalOptions{})
-}
-
-// EvalWorkers is Eval with an explicit intra-query worker budget,
-// overriding the package-wide SetMaxWorkers default for this evaluation
-// (workers <= 1 keeps execution single-threaded; see parallel.go for
-// what parallelizes and why results are identical for every budget).
-func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
-	return EvalOpts(context.Background(), g, q, EvalOptions{Workers: workers})
-}
-
-// EvalOpts is the fully governed evaluation entry point: ctx carries
-// cancellation and deadlines, opt carries the worker budget and the
-// memory budget (see EvalOptions). Package-wide defaults installed with
-// SetDefaultLimits apply to whatever opt leaves unset.
+// ordered by estimated join size (see planOrderJoin), memoized per
+// query shape in the plan cache. Execution is the columnar batch join
+// over the backend's indexes (§4.2 of the paper); FILTERs run at the
+// earliest step where their variables are bound, OPTIONAL groups
+// extend solutions after the required patterns.
+//
+// Cancellation is checked at block granularity — between join steps,
+// once per row in the per-row probe and expansion loops, and every 128
+// streamed candidates — so an in-flight multi-way join stops with
+// ctx.Err() within one block on every backend.
 //
 // When the backend offers consistent snapshots (graph.Snapshotter — the
 // delta overlay, the sharded cluster), the whole evaluation is pinned to
@@ -145,13 +94,7 @@ func EvalWorkers(g graph.Graph, q *Query, workers int) (*Result, error) {
 // store version even while writers commit concurrently. The pin is
 // released when the evaluation returns — including when it returns early
 // with ctx.Err() or govern.ErrBudgetExceeded.
-func EvalOpts(ctx context.Context, g graph.Graph, q *Query, opt EvalOptions) (*Result, error) {
-	return evalWith(ctx, g, q, nil, opt)
-}
-
-// evalWith is the shared core of EvalOpts and Planner.EvalOpts. pl is
-// nil for the package-level entry points (no statistics, no caches).
-func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt EvalOptions) (*Result, error) {
+func (pl *Planner) EvalOpts(ctx context.Context, q *Query, opt EvalOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -172,7 +115,7 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	if opt.Trace != nil {
 		pin = opt.Trace.Child("snapshot")
 	}
-	g = graph.Snapshot(g)
+	g := graph.Snapshot(pl.g)
 	// The pin span covers the whole window the snapshot is held; it is
 	// released when the evaluation returns, success or not.
 	defer pin.Finish()
@@ -188,17 +131,13 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	// evaluations never consult the result cache — a cached row set with
 	// a fabricated trace would lie about what executed.
 	var (
-		plans    *planCache
-		results  *resultCache
+		plans    = pl.plans.Load()
+		results  = pl.results.Load()
 		shape    string
 		rkey     string
 		epoch    string
 		fillable bool
 	)
-	if pl != nil {
-		plans = pl.plans.Load()
-		results = pl.results.Load()
-	}
 	useResult := results != nil && q.Explain == ExplainNone && !opt.NoResultCache
 	if plans != nil || useResult {
 		var consts []rdf.Term
@@ -222,10 +161,6 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	// Backends whose single operations run long (the sharded cluster
 	// view) observe ctx inside one Match/AppendSortedList call.
 	g = graph.WithContext(ctx, g)
-	var sum *stats.Summary
-	if pl != nil {
-		sum = pl.sum.Load()
-	}
 	ev := &evaluator{
 		src:      g,
 		dict:     g.Dictionary(),
@@ -233,8 +168,7 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 		pl:       pl,
 		plans:    plans,
 		shape:    shape,
-		sum:      sum,
-		eng:      engineFor(g),
+		sum:      pl.sum.Load(),
 		workers:  workers,
 		tr:       opt.Trace,
 		mem:      meterFor(&opt),
@@ -266,33 +200,19 @@ func evalWith(ctx context.Context, g graph.Graph, q *Query, pl *Planner, opt Eva
 	return res, err
 }
 
-// engineFor returns an index-aware engine when g answers selectivity
-// without scanning — the in-memory Hexastore (vector-level estimates)
-// or any SortedSource backend such as the disk store (sorted-list
-// lengths). Generic backends price patterns with scans, which is too
-// expensive for per-step selectivity tie-breaking, so they get nil.
-func engineFor(g graph.Graph) *query.Engine {
-	if eng := query.NewGraphEngine(g); eng.Store() != nil || eng.Sorted() != nil {
-		return eng
-	}
-	return nil
-}
-
 type evaluator struct {
 	src  graph.Graph
-	eng  *query.Engine // nil for non-memory backends; enables selectivity tie-breaks
 	dict *dictionary.Dictionary
 	q    *Query
 
-	// sum, when non-nil, switches pattern ordering to the cost-based
-	// planner (see Planner).
+	// sum is the owning Planner's statistics summary, pinned for this
+	// evaluation; it prices every join order.
 	sum *stats.Summary
 
-	// pl is the owning Planner (nil for package-level entry points);
-	// plans is its plan cache pinned for this evaluation, shape the
-	// query's canonical shape key, and branchIdx the index of the union
-	// branch currently planned — together they key the memoized join
-	// orders.
+	// pl is the owning Planner; plans is its plan cache pinned for this
+	// evaluation (nil: disabled), shape the query's canonical shape key,
+	// and branchIdx the index of the union branch currently planned —
+	// together they key the memoized join orders.
 	pl        *Planner
 	plans     *planCache
 	shape     string
@@ -328,8 +248,12 @@ type evaluator struct {
 	spillDir string
 	rowBytes int64
 
-	vars    []string
-	optVars map[string]bool
+	vars []string
+	// branchVars holds the variables the current union branch's required
+	// patterns bind: every solution binds them. Any other projected
+	// variable — one occurring only in OPTIONAL groups or only in other
+	// UNION alternatives — may be unbound.
+	branchVars map[string]bool
 
 	binding  map[string]core.ID
 	res      *Result
@@ -422,7 +346,6 @@ func (ev *evaluator) run() (*Result, error) {
 	if len(ev.vars) == 0 {
 		ev.vars = q.AllVars()
 	}
-	ev.optVars = q.OptionalVars()
 	ev.binding = make(map[string]core.ID)
 	ev.termCache = make(map[core.ID]rdf.Term)
 	ev.batch.ev = ev
@@ -559,8 +482,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	}
 	// Plan: a memoized join order for this shape and branch when the plan
 	// cache holds one built under the current statistics epoch, otherwise
-	// cost-based join ordering (with statistics) or the greedy
-	// most-bound-first heuristic (without).
+	// cost-based join ordering.
 	branch := ev.branchIdx
 	ev.branchIdx++
 	var order []int
@@ -578,11 +500,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 		}
 	}
 	if order == nil {
-		if ev.sum != nil {
-			order, hints = planOrderJoin(ev.sum, pats, nil)
-		} else {
-			order = planOrder(ev.eng, pats, nil)
-		}
+		order, hints = planOrderJoin(ev.sum, pats)
 		if planCacheAttr == "miss" {
 			ev.plans.put(ev.shape, branch, len(pats), ev.pl.statsEpoch.Load(), order, hints)
 		}
@@ -596,11 +514,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 	if br != nil {
 		ests = ev.estimateSteps(pats, order)
 		plan := br.Child("plan")
-		planner := "greedy"
-		if ev.sum != nil {
-			planner = "cost"
-		}
-		plan.Set("planner", planner)
+		plan.Set("planner", "cost")
 		if planCacheAttr != "" {
 			plan.Set("planCache", planCacheAttr)
 		}
@@ -639,6 +553,7 @@ func (ev *evaluator) runBranch(pats []idPattern, optionals [][]idPattern) error 
 			branchVars[v] = true
 		}
 	}
+	ev.branchVars = branchVars
 	stepFilters := make([][]Filter, len(order)+1)
 	var lateFilters []Filter
 	for _, f := range ev.q.Filters {
@@ -811,7 +726,7 @@ func (ev *evaluator) emitWith(lookup func(string) (core.ID, bool), lateFilters [
 		key := ev.keyBuf[:0]
 		for _, name := range ev.vars {
 			id, ok := lookup(name)
-			if !ok && !ev.optVars[name] {
+			if !ok && ev.branchVars[name] {
 				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
 			}
 			key = appendIDKey(key, id) // unbound: id == None
@@ -831,7 +746,7 @@ func (ev *evaluator) emitWith(lookup func(string) (core.ID, bool), lateFilters [
 	for _, name := range ev.vars {
 		id, ok := lookup(name)
 		if !ok {
-			if !ev.optVars[name] {
+			if ev.branchVars[name] {
 				return fmt.Errorf("sparql: internal: variable ?%s unbound at solution", name)
 			}
 			continue
@@ -1117,100 +1032,17 @@ func resolvePos(p *idPattern, j int, binding map[string]core.ID) (core.ID, strin
 }
 
 // estimateSteps prices each step of the chosen order for the trace,
-// simulating the evolving join: with statistics, the cost model's
-// estimated intermediate cardinality after each step (directly
-// comparable to the step's rowsOut actual in EXPLAIN ANALYZE); without,
-// the engine's index cardinality (core.Store.PatternCardinality under
-// the hood); -1 when the backend answers neither without a scan.
+// simulating the evolving join: the cost model's estimated intermediate
+// cardinality after each step (directly comparable to the step's
+// rowsOut actual in EXPLAIN ANALYZE).
 func (ev *evaluator) estimateSteps(pats []idPattern, order []int) []float64 {
 	ests := make([]float64, len(order))
-	if ev.sum != nil {
-		js := newJoinState(ev.sum, nil)
-		for si, pi := range order {
-			ests[si] = js.cost(&pats[pi])
-			js.advance(&pats[pi])
-		}
-		return ests
-	}
+	js := newJoinState(ev.sum)
 	for si, pi := range order {
-		p := &pats[pi]
-		if ev.eng == nil {
-			ests[si] = -1
-			continue
-		}
-		var qp query.Pattern
-		if p.pat.S.Kind == Const {
-			qp.S = p.ids[0]
-		}
-		if p.pat.P.Kind == Const {
-			qp.P = p.ids[1]
-		}
-		if p.pat.O.Kind == Const {
-			qp.O = p.ids[2]
-		}
-		ests[si] = float64(ev.eng.Selectivity(qp))
+		ests[si] = js.cost(&pats[pi])
+		js.advance(&pats[pi])
 	}
 	return ests
-}
-
-// planOrder returns the pattern evaluation order: greedy most-bound-
-// first with selectivity tie-breaking. preBound names variables already
-// bound before the first step (used when planning optional groups).
-func planOrder(eng *query.Engine, pats []idPattern, preBound map[string]bool) []int {
-	n := len(pats)
-	chosen := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	for v := range preBound {
-		bound[v] = true
-	}
-
-	// Static selectivity with only constants bound, priced once per
-	// pattern — it does not depend on the evolving bound set. A nil
-	// engine (generic Source) prices every pattern equally, so ordering
-	// falls back to the pure most-bound-first heuristic.
-	constSel := make([]int, n)
-	if eng != nil {
-		for i := range pats {
-			var qp query.Pattern
-			if pats[i].pat.S.Kind == Const {
-				qp.S = pats[i].ids[0]
-			}
-			if pats[i].pat.P.Kind == Const {
-				qp.P = pats[i].ids[1]
-			}
-			if pats[i].pat.O.Kind == Const {
-				qp.O = pats[i].ids[2]
-			}
-			constSel[i] = eng.Selectivity(qp)
-		}
-	}
-
-	for len(chosen) < n {
-		best, bestBound, bestSel := -1, -1, 0
-		for i := range pats {
-			if used[i] {
-				continue
-			}
-			nb := 0
-			for j := 0; j < 3; j++ {
-				t := pats[i].term(j)
-				if t.Kind == Const || bound[t.Name] {
-					nb++
-				}
-			}
-			sel := constSel[i]
-			if nb > bestBound || (nb == bestBound && sel < bestSel) {
-				best, bestBound, bestSel = i, nb, sel
-			}
-		}
-		used[best] = true
-		chosen = append(chosen, best)
-		for _, name := range pats[best].pat.Vars() {
-			bound[name] = true
-		}
-	}
-	return chosen
 }
 
 // SortRows orders rows lexicographically by the projection variables,

@@ -5,10 +5,15 @@ import (
 	"strings"
 	"testing"
 
+	"hexastore/internal/core"
+	"hexastore/internal/delta"
+	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/obs"
 	"hexastore/internal/rdf"
+	"hexastore/internal/shard"
+	"hexastore/internal/triplestore"
 )
 
 func TestParseExplainPrefix(t *testing.T) {
@@ -80,7 +85,9 @@ func checkAnalyzeTrace(t *testing.T, tr *obs.Trace, patterns, rows int) {
 		t.Fatalf("step spans = %d, want %d", len(steps), patterns)
 	}
 	for _, sp := range steps {
-		attrInt(t, sp, "estRows") // may be -1 (unknown), must be present
+		if est := attrInt(t, sp, "estRows"); est < 0 {
+			t.Errorf("span %q: estRows = %d, want a priced estimate", sp.Name(), est)
+		}
 		attrInt(t, sp, "rowsIn")
 		attrInt(t, sp, "rowsOut")
 	}
@@ -107,7 +114,7 @@ func TestExplainAnalyzeMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("query")
-	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Trace: tr})
+	res, err := evalOpts(context.Background(), g, q, EvalOptions{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestExplainPlanOnlySkipsExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("query")
-	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Trace: tr})
+	res, err := evalOpts(context.Background(), g, q, EvalOptions{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestExplainAnalyzeDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("query")
-	res, err := EvalOpts(context.Background(), graph.Disk(st), q, EvalOptions{Trace: tr})
+	res, err := evalOpts(context.Background(), graph.Disk(st), q, EvalOptions{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestTraceDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := EvalOpts(context.Background(), g, q1, EvalOptions{})
+		plain, err := evalOpts(context.Background(), g, q1, EvalOptions{})
 		if err != nil {
 			t.Fatalf("%s: untraced: %v", src, err)
 		}
@@ -209,7 +216,7 @@ func TestTraceDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := EvalOpts(context.Background(), g, q2, EvalOptions{Trace: obs.NewTrace("query")})
+		traced, err := evalOpts(context.Background(), g, q2, EvalOptions{Trace: obs.NewTrace("query")})
 		if err != nil {
 			t.Fatalf("%s: traced: %v", src, err)
 		}
@@ -223,6 +230,73 @@ func TestTraceDifferential(t *testing.T) {
 				if traced.Rows[i][v] != term {
 					t.Fatalf("%s: row %d var %s: %v vs %v", src, i, v, term, traced.Rows[i][v])
 				}
+			}
+		}
+	}
+}
+
+// TestExplainReportsCostPlannerOnEveryBackend checks that every backend,
+// the flat baseline included, is planned by the cost model: EXPLAIN
+// names it and prices every step with a non-negative estimate.
+func TestExplainReportsCostPlannerOnEveryBackend(t *testing.T) {
+	ex := func(l string) rdf.Term { return rdf.NewIRI("http://ex/" + l) }
+	triples := []rdf.Triple{
+		rdf.T(ex("alice"), ex("knows"), ex("bob")),
+		rdf.T(ex("bob"), ex("knows"), ex("carol")),
+		rdf.T(ex("carol"), ex("age"), rdf.NewLiteral("42")),
+	}
+	ds, err := disk.Create(t.TempDir(), disk.Options{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ov, err := delta.Open(graph.Memory(core.New()), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ov.Close()
+	cl, err := shard.OpenCluster(shard.Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	backends := map[string]graph.Graph{
+		"memory":   graph.Memory(core.New()),
+		"baseline": graph.Baseline(triplestore.New(dictionary.New())),
+		"disk":     graph.Disk(ds),
+		"overlay":  ov,
+		"shards=3": cl,
+	}
+	q, err := Parse(`EXPLAIN PREFIX ex: <http://ex/>
+		SELECT ?x ?a WHERE { ?x ex:knows ?y . ?y ex:knows ?z . ?z ex:age ?a }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range backends {
+		for _, tr := range triples {
+			if _, err := graph.AddTriple(g, tr); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		tr := obs.NewTrace("query")
+		if _, err := evalOpts(context.Background(), g, q, EvalOptions{Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr.Finish()
+		plans := findSpans(tr, "plan")
+		if len(plans) != 1 {
+			t.Fatalf("%s: plan spans = %d, want 1", name, len(plans))
+		}
+		if v, _ := plans[0].Attr("planner"); v != "cost" {
+			t.Errorf("%s: planner = %v, want cost", name, v)
+		}
+		steps := findSpans(tr, "step[")
+		if len(steps) != 3 {
+			t.Fatalf("%s: step spans = %d, want 3", name, len(steps))
+		}
+		for _, sp := range steps {
+			if est := attrInt(t, sp, "estRows"); est < 0 {
+				t.Errorf("%s: step %q estRows = %d, want a priced estimate", name, sp.Name(), est)
 			}
 		}
 	}

@@ -371,12 +371,23 @@ func TestFilterRejectsUnknownVariable(t *testing.T) {
 }
 
 func TestProjectionMayUseOptionalVars(t *testing.T) {
-	q, err := Parse(`SELECT ?x ?m WHERE { ?x ?p ?o . OPTIONAL { ?x <email> ?m } }`)
+	st := core.New()
+	st.AddTriple(rdf.T(rdf.NewIRI("a"), rdf.NewIRI("name"), rdf.NewLiteral("A")))
+	st.AddTriple(rdf.T(rdf.NewIRI("b"), rdf.NewIRI("name"), rdf.NewLiteral("B")))
+	st.AddTriple(rdf.T(rdf.NewIRI("b"), rdf.NewIRI("email"), rdf.NewLiteral("b@x")))
+	res, err := Exec(graph.Memory(st), `SELECT ?x ?m WHERE { ?x <name> ?o . OPTIONAL { ?x <email> ?m } }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.OptionalVars()["m"] {
-		t.Fatal("?m not classified as optional")
+	res.SortRows()
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	}
+	if m, ok := res.Rows[0]["m"]; ok {
+		t.Fatalf("?m bound to %v for <a>, which has no email", m)
+	}
+	if m := res.Rows[1]["m"]; m.Value != "b@x" {
+		t.Fatalf("?m = %v for <b>, want b@x", m)
 	}
 }
 

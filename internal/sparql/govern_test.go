@@ -116,7 +116,7 @@ func TestCancelMidJoin(t *testing.T) {
 			defer cancel()
 			done := make(chan error, 1)
 			go func() {
-				_, err := EvalOpts(ctx, g, q, EvalOptions{Workers: 4})
+				_, err := evalOpts(ctx, g, q, EvalOptions{Workers: 4})
 				done <- err
 			}()
 			time.Sleep(25 * time.Millisecond)
@@ -159,7 +159,7 @@ func TestDeadlineMidJoin(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := EvalOpts(ctx, g, q, EvalOptions{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := evalOpts(ctx, g, q, EvalOptions{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -193,7 +193,7 @@ func TestSpillDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %d: %v", qi, err)
 			}
-			base, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
+			base, err := evalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s query %d unlimited: %v", name, qi, err)
 			}
@@ -201,7 +201,7 @@ func TestSpillDifferential(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				dir := t.TempDir()
 				m := govern.NewMeter(4096, 1<<30)
-				res, err := EvalOpts(context.Background(), g, q, EvalOptions{
+				res, err := evalOpts(context.Background(), g, q, EvalOptions{
 					Workers: workers, Meter: m, SpillDir: dir,
 				})
 				if err != nil {
@@ -247,7 +247,7 @@ func TestSpillFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
+	base, err := evalOpts(context.Background(), g, q, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSpillFaultInjection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := iofault.NewInjector(nil).AddFault(tc.fault)
-			res, err := EvalOpts(context.Background(), g, q, EvalOptions{
+			res, err := evalOpts(context.Background(), g, q, EvalOptions{
 				Workers: 1, MemBudget: 4096, HardCap: 1 << 30, SpillDir: dir, FS: inj,
 			})
 			if err == nil {
@@ -315,7 +315,7 @@ func TestBudgetKillDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for run := 0; run < 5; run++ {
-			_, err := EvalOpts(context.Background(), g, q, EvalOptions{
+			_, err := evalOpts(context.Background(), g, q, EvalOptions{
 				Workers: workers, MemBudget: 32 << 10, NoSpill: true,
 			})
 			if !errors.Is(err, govern.ErrBudgetExceeded) {
@@ -340,7 +340,7 @@ func TestPeakStaysUnderHardCap(t *testing.T) {
 	}
 	const budget, hard = 64 << 10, 256 << 10
 	m := govern.NewMeter(budget, hard)
-	res, err := EvalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: m, SpillDir: t.TempDir()})
+	res, err := evalOpts(context.Background(), g, q, EvalOptions{Workers: 1, Meter: m, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

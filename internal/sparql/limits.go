@@ -87,7 +87,7 @@ var (
 // evaluation that does not set its own: a per-query soft memory budget
 // in bytes (0 = unlimited) and a per-query timeout (0 = none). The
 // hexquery/hexbench -mem-budget and -timeout flags land here, giving
-// every entry point — Exec, Eval, Planner.Eval, the facade — the same
+// every entry point — Exec, Planner.EvalOpts, the facade — the same
 // governance without threading options through each call site. Safe to
 // call concurrently; in-flight evaluations keep the limits they
 // started with.

@@ -1,10 +1,13 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"hexastore/internal/graph"
 )
 
 // lowerThreshold drops the parallel row threshold so small fixtures hit
@@ -17,7 +20,7 @@ func lowerThreshold(t *testing.T) {
 
 // joinFixture builds a memory/baseline pair with enough fan-out that
 // multi-pattern joins produce thousands of intermediate rows.
-func joinFixture() (mem, base Source) {
+func joinFixture() (mem, base graph.Graph) {
 	rng := rand.New(rand.NewSource(21))
 	var triples [][3]string
 	for i := 0; i < 800; i++ {
@@ -62,14 +65,14 @@ func TestWorkersInvariance(t *testing.T) {
 		}
 		for _, g := range []struct {
 			name string
-			src  Source
+			src  graph.Graph
 		}{{"memory", mem}, {"baseline", base}} {
-			want, err := EvalWorkers(g.src, q, 1)
+			want, err := evalOpts(context.Background(), g.src, q, EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s workers=1 %q: %v", g.name, src, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := EvalWorkers(g.src, q, workers)
+				got, err := evalOpts(context.Background(), g.src, q, EvalOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d %q: %v", g.name, workers, src, err)
 				}
@@ -102,14 +105,14 @@ func TestWorkersInvarianceUnionsAndRepeats(t *testing.T) {
 		}
 		for _, g := range []struct {
 			name string
-			src  Source
+			src  graph.Graph
 		}{{"memory", mem}, {"baseline", base}} {
-			want, err := EvalWorkers(g.src, q, 1)
+			want, err := evalOpts(context.Background(), g.src, q, EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s workers=1 %q: %v", g.name, src, err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := EvalWorkers(g.src, q, workers)
+				got, err := evalOpts(context.Background(), g.src, q, EvalOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d %q: %v", g.name, workers, src, err)
 				}

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"context"
 	"sync/atomic"
 
 	"hexastore/internal/core"
@@ -13,13 +12,13 @@ import (
 // memoizes plans for.
 const DefaultPlanCacheSize = 256
 
-// Planner evaluates queries with cost-based basic-graph-pattern ordering
-// driven by a cached statistics summary (Stocker et al. [41] style) and
-// a join-size model over the sextuple indexes' cheap per-pattern
-// cardinalities, instead of the default greedy most-bound-first order.
-// It works over any Graph backend: memory-backed graphs build the
-// summary off the index heads, others with one scan. Build one Planner
-// per graph and reuse it; call Refresh after bulk updates.
+// Planner evaluates queries against one graph with cost-based
+// basic-graph-pattern ordering: a join-size model priced from a cached
+// statistics summary (Stocker et al. [41] style) whose per-subject and
+// per-object counts are read from the sextuple indexes on demand. It
+// works over any Graph backend: memory-backed graphs build the summary
+// off the index heads, others with one scan. Build one Planner per graph
+// and reuse it; call Refresh after writes.
 //
 // A Planner also hosts the repeated-query fast path: a query-shape plan
 // cache (on by default, see SetPlanCacheSize) memoizing join orders and
@@ -41,21 +40,41 @@ type Planner struct {
 // NewPlanner builds the statistics summary for g and returns a Planner
 // with the plan cache enabled at DefaultPlanCacheSize and the result
 // cache disabled. A backend that fails mid-scan yields an empty summary,
-// degrading planning to the most-bound-first heuristic rather than
-// failing.
+// under which every pattern is priced at zero rows (plans stay correct,
+// only their order is arbitrary) until a Refresh succeeds.
 func NewPlanner(g graph.Graph) *Planner {
 	pl := &Planner{g: g}
 	pl.plans.Store(newPlanCache(DefaultPlanCacheSize))
-	pl.Refresh()
+	pl.rebuild()
 	return pl
 }
 
-// Refresh rebuilds the statistics summary after the graph changed and
-// bumps the statistics epoch, invalidating every memoized plan (they
-// were ranked under the old statistics). Cached results are untouched —
-// their validity tracks the data epoch, not the statistics.
+// Refresh brings the statistics up to date after writes. Subject- and
+// object-bound estimates already read live index counts, so only the
+// totals and per-predicate figures can go stale; Refresh rebuilds them
+// once the graph's size has drifted by at least 10% from the size they
+// were built at (on any change when that was zero). Stale statistics
+// between rebuilds only affect join order, never answers, and the
+// result cache keys on the snapshot epoch, which every write bumps.
+// Call it after writes, not per query: on backends without index heads
+// a rebuild is a full scan.
 func (pl *Planner) Refresh() {
-	sum, err := stats.BuildGraph(pl.g)
+	built := pl.sum.Load().Triples
+	drift := pl.g.Len() - built
+	if drift < 0 {
+		drift = -drift
+	}
+	if drift > 0 && drift*10 >= built {
+		pl.rebuild()
+	}
+}
+
+// rebuild replaces the statistics summary and bumps the statistics
+// epoch, invalidating every memoized plan (they were ranked under the
+// old statistics). Cached results are untouched — their validity tracks
+// the data epoch, not the statistics.
+func (pl *Planner) rebuild() {
+	sum, err := stats.Build(pl.g)
 	if err != nil {
 		sum = &stats.Summary{}
 	}
@@ -105,42 +124,6 @@ func (pl *Planner) Stats() *stats.Summary { return pl.sum.Load() }
 // Graph returns the backend the planner evaluates against.
 func (pl *Planner) Graph() graph.Graph { return pl.g }
 
-// Exec parses and evaluates src with cost-based planning.
-func (pl *Planner) Exec(src string) (*Result, error) {
-	return pl.ExecContext(context.Background(), src)
-}
-
-// ExecContext is Exec observing ctx (see the package-level ExecContext
-// for the cancellation granularity).
-func (pl *Planner) ExecContext(ctx context.Context, src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return pl.EvalOpts(ctx, q, EvalOptions{})
-}
-
-// Eval evaluates a parsed query with cost-based planning, using the
-// package-wide intra-query worker budget (SetMaxWorkers). Like
-// EvalWorkers, the evaluation pins one consistent snapshot when the
-// backend offers them (graph.Snapshotter); the cached statistics
-// summary needs no pinning — stale stats only affect pattern order.
-func (pl *Planner) Eval(q *Query) (*Result, error) {
-	return pl.EvalOpts(context.Background(), q, EvalOptions{})
-}
-
-// EvalContext is Eval observing ctx.
-func (pl *Planner) EvalContext(ctx context.Context, q *Query) (*Result, error) {
-	return pl.EvalOpts(ctx, q, EvalOptions{})
-}
-
-// EvalOpts is the governed evaluation entry point with cost-based
-// planning and the plan/result caches: the planner's analogue of the
-// package-level EvalOpts.
-func (pl *Planner) EvalOpts(ctx context.Context, q *Query, opt EvalOptions) (*Result, error) {
-	return evalWith(ctx, pl.g, q, pl, opt)
-}
-
 // joinState tracks the evolving join-size estimate of a basic graph
 // pattern under construction: the current intermediate cardinality and a
 // per-variable estimate of its distinct values, so the next pattern's
@@ -156,13 +139,8 @@ type joinState struct {
 	bound map[string]bool
 }
 
-func newJoinState(sum *stats.Summary, preBound map[string]bool) *joinState {
-	js := &joinState{sum: sum, card: 1, dv: make(map[string]float64), bound: make(map[string]bool)}
-	for v := range preBound {
-		js.bound[v] = true
-		js.dv[v] = 1
-	}
-	return js
+func newJoinState(sum *stats.Summary) *joinState {
+	return &joinState{sum: sum, card: 1, dv: make(map[string]float64), bound: make(map[string]bool)}
 }
 
 // patternConstEstimate prices p with only its constants bound.
@@ -299,12 +277,12 @@ func (js *joinState) filterHint(p *idPattern) stepHint {
 // join with the current intermediate result is estimated smallest. It
 // returns the order and the per-step access-path hints — the two things
 // the plan cache memoizes per shape.
-func planOrderJoin(sum *stats.Summary, pats []idPattern, preBound map[string]bool) ([]int, []stepHint) {
+func planOrderJoin(sum *stats.Summary, pats []idPattern) ([]int, []stepHint) {
 	n := len(pats)
 	chosen := make([]int, 0, n)
 	hints := make([]stepHint, 0, n)
 	used := make([]bool, n)
-	js := newJoinState(sum, preBound)
+	js := newJoinState(sum)
 
 	sharesBoundVar := func(p *idPattern) bool {
 		for _, v := range p.pat.Vars() {
@@ -344,38 +322,4 @@ func planOrderJoin(sum *stats.Summary, pats []idPattern, preBound map[string]boo
 		js.advance(&pats[best])
 	}
 	return chosen, hints
-}
-
-// planOrderStats orders patterns by estimated join size (see
-// planOrderJoin); it remains as the hint-free entry point used by tests
-// and OPTIONAL-group planning.
-func planOrderStats(sum *stats.Summary, pats []idPattern, preBound map[string]bool) []int {
-	order, _ := planOrderJoin(sum, pats, preBound)
-	return order
-}
-
-// estimatePatternBound prices one pattern given the currently-bound
-// variable set: the summary's single-pattern estimate over the constant
-// positions, divided by the distinct count of each position held by an
-// already-bound variable (uniformity assumption). Used for single-step
-// estimates where no join context exists.
-func estimatePatternBound(sum *stats.Summary, p *idPattern, bound map[string]bool) float64 {
-	var ids [3]core.ID
-	var varBound [3]bool
-	for j := 0; j < 3; j++ {
-		t := p.term(j)
-		if t.Kind == Const {
-			ids[j] = p.ids[j]
-		} else if bound[t.Name] {
-			varBound[j] = true
-		}
-	}
-	est := sum.EstimatePattern(ids[0], ids[1], ids[2])
-	divisors := [3]int{sum.DistinctS, sum.DistinctP, sum.DistinctO}
-	for j := 0; j < 3; j++ {
-		if varBound[j] && divisors[j] > 0 {
-			est /= float64(divisors[j])
-		}
-	}
-	return est
 }

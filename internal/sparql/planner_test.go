@@ -45,7 +45,7 @@ func TestPlannerResultsMatchDefaultEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec(%q): %v", src, err)
 		}
-		got, err := pl.Exec(src)
+		got, err := planExec(pl, src)
 		if err != nil {
 			t.Fatalf("Planner.Exec(%q): %v", src, err)
 		}
@@ -67,7 +67,7 @@ func TestPlannerResultsMatchDefaultEval(t *testing.T) {
 
 func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	st := skewedStore(t)
-	sum, err := stats.BuildGraph(st)
+	sum, err := stats.Build(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 	pats[0].ids[1] = commonID
 	pats[1].ids[1] = rareID
 
-	order := planOrderStats(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats)
 	if order[0] != 1 {
 		t.Fatalf("planner ordered common predicate first: order = %v", order)
 	}
@@ -90,7 +90,7 @@ func TestPlanOrderStatsPutsSelectiveFirst(t *testing.T) {
 
 func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	st := skewedStore(t)
-	sum, err := stats.BuildGraph(st)
+	sum, err := stats.Build(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPlanOrderStatsAvoidsCartesianProduct(t *testing.T) {
 	pats[1].ids[1] = rareID
 	pats[2].ids[1] = commonID
 
-	order := planOrderStats(sum, pats, nil)
+	order, _ := planOrderJoin(sum, pats)
 	if order[0] == 1 {
 		// Both rare patterns are equivalent starts; fine either way.
 		t.Skip("planner started with the disconnected twin; acceptable")
@@ -135,10 +135,34 @@ func TestPlannerRefresh(t *testing.T) {
 	}
 }
 
+// TestPlannerRefreshDriftRule checks the one refresh rule: statistics
+// are rebuilt (and memoized plans invalidated) only once the graph's
+// size has drifted by at least 10% from the summary's.
+func TestPlannerRefreshDriftRule(t *testing.T) {
+	st := core.New()
+	for i := 0; i < 100; i++ {
+		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("s%d", i)), rdf.NewIRI("p"), rdf.NewIRI("o")))
+	}
+	pl := NewPlanner(graph.Memory(st))
+	epoch := pl.CacheStats().StatsEpoch
+	for i := 0; i < 9; i++ {
+		st.AddTriple(rdf.T(rdf.NewIRI(fmt.Sprintf("t%d", i)), rdf.NewIRI("p"), rdf.NewIRI("o")))
+		pl.Refresh()
+	}
+	if got := pl.CacheStats().StatsEpoch; got != epoch || pl.Stats().Triples != 100 {
+		t.Fatalf("after 9%% drift: epoch %d (was %d), Triples %d; want no rebuild", got, epoch, pl.Stats().Triples)
+	}
+	st.AddTriple(rdf.T(rdf.NewIRI("t9"), rdf.NewIRI("p"), rdf.NewIRI("o")))
+	pl.Refresh()
+	if got := pl.CacheStats().StatsEpoch; got != epoch+1 || pl.Stats().Triples != 110 {
+		t.Fatalf("after 10%% drift: epoch %d (was %d), Triples %d; want one rebuild at 110", got, epoch, pl.Stats().Triples)
+	}
+}
+
 func TestPlannerWithModifiersAndOptionals(t *testing.T) {
 	st := skewedStore(t)
 	pl := NewPlanner(st)
-	res, err := pl.Exec(`
+	res, err := planExec(pl, `
 		SELECT ?s ?x WHERE {
 			?s <common> ?o .
 			OPTIONAL { ?s <rare> ?x }
@@ -148,5 +172,28 @@ func TestPlannerWithModifiersAndOptionals(t *testing.T) {
 	}
 	if len(res.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(res.Rows))
+	}
+}
+
+// TestNewPlannerAllocsIndependentOfSize checks that building a Planner
+// over the memory store costs the same allocations at 1k and at 100k
+// subjects, in both index layouts: the summary reads per-predicate
+// figures off the index heads and copies nothing per subject or object.
+func TestNewPlannerAllocsIndependentOfSize(t *testing.T) {
+	build := func(subjects int, compress bool) graph.Graph {
+		b := core.NewBuilder(nil)
+		b.SetCompression(compress)
+		for i := 0; i < subjects; i++ {
+			b.Add(core.ID(1000+i), core.ID(1+i%4), core.ID(500+i%50))
+		}
+		return graph.Memory(b.Build())
+	}
+	for _, compress := range []bool{false, true} {
+		small, large := build(1_000, compress), build(100_000, compress)
+		a := testing.AllocsPerRun(5, func() { NewPlanner(small) })
+		b := testing.AllocsPerRun(5, func() { NewPlanner(large) })
+		if d := b - a; d > 4 || d < -4 {
+			t.Fatalf("compress=%v: NewPlanner allocs %v at 1k subjects, %v at 100k", compress, a, b)
+		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"hexastore/internal/disk"
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
+	"hexastore/internal/triplestore"
 )
 
 // TestExecSourceOverDiskStore runs the SPARQL engine against the
-// disk-based Hexastore: the disk store satisfies Source directly, so
+// disk-based Hexastore: the disk store is a graph.Graph itself, so
 // every query feature (joins, filters, optionals, aggregates) works on
 // the persistent substrate too.
 func TestExecSourceOverDiskStore(t *testing.T) {
@@ -32,7 +33,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		}
 	}
 
-	res, err := ExecSource(st, `
+	res, err := Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }`)
 	if err != nil {
@@ -45,7 +46,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		t.Fatalf("row = %v", res.Rows[0])
 	}
 
-	res, err = ExecSource(st, `
+	res, err = Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p`)
 	if err != nil {
@@ -60,7 +61,7 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 		}
 	}
 
-	res, err = ExecSource(st, `
+	res, err = Exec(st, `
 		PREFIX ex: <http://ex/>
 		SELECT ?who WHERE { ?who ex:age ?a . FILTER (?a > 18) }`)
 	if err != nil {
@@ -71,11 +72,20 @@ func TestExecSourceOverDiskStore(t *testing.T) {
 	}
 }
 
-// TestExecSourceMatchesExecOnCoreStore checks that the Source-generic
-// path and the engine-assisted path produce identical results on the
-// in-memory store.
+// TestExecSourceMatchesExecOnCoreStore checks that the generic path —
+// the flat baseline table, with scan-built statistics and Match-only
+// access — and the index-assisted path of the in-memory store produce
+// identical results.
 func TestExecSourceMatchesExecOnCoreStore(t *testing.T) {
 	st := familyStore(t)
+	flat := triplestore.New(st.Dictionary())
+	if err := st.Match(core.None, core.None, core.None, func(s, p, o core.ID) bool {
+		flat.Add(s, p, o)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base := graph.Baseline(flat)
 	queries := []string{
 		`PREFIX ex: <http://example.org/>
 		 SELECT ?who WHERE { ?who ex:age ?age . FILTER (?age > 18) }`,
@@ -89,9 +99,9 @@ func TestExecSourceMatchesExecOnCoreStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec(%q): %v", src, err)
 		}
-		got, err := ExecSource(st, src)
+		got, err := Exec(base, src)
 		if err != nil {
-			t.Fatalf("ExecSource(%q): %v", src, err)
+			t.Fatalf("Exec(%q) on the baseline: %v", src, err)
 		}
 		want.SortRows()
 		got.SortRows()
@@ -132,7 +142,7 @@ func (*mockError) Error() string { return "boom" }
 func TestExecSourcePropagatesMatchErrors(t *testing.T) {
 	st := familyStore(t)
 	src := &erroringSource{Graph: st}
-	_, err := ExecSource(src, `
+	_, err := Exec(src, `
 		PREFIX ex: <http://example.org/>
 		SELECT ?a ?b WHERE { ?a ex:knows ?x . ?x ex:knows ?b }`)
 	if err == nil {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,21 @@ import (
 	"hexastore/internal/graph"
 	"hexastore/internal/rdf"
 )
+
+// evalOpts evaluates q against g with a fresh Planner, as a caller
+// running a single query would.
+func evalOpts(ctx context.Context, g graph.Graph, q *Query, opt EvalOptions) (*Result, error) {
+	return NewPlanner(g).EvalOpts(ctx, q, opt)
+}
+
+// planExec parses src and evaluates it with pl.
+func planExec(pl *Planner, src string) (*Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return pl.EvalOpts(context.Background(), q, EvalOptions{})
+}
 
 func TestParseBasic(t *testing.T) {
 	q, err := Parse(`SELECT ?x ?y WHERE { ?x <knows> ?y . ?y <age> "42" }`)

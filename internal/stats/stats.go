@@ -3,11 +3,15 @@
 // Graph Pattern Optimization Using Selectivity Estimation" (WWW 2008) —
 // the selectivity-estimation work the paper cites as reference [41].
 //
-// A Summary is built from a Hexastore in one pass over its index heads
-// (not its triples: the per-property counts fall out of the pso and pos
-// vector sizes, which is itself a small demonstration of the sextuple
-// layout's convenience). The SPARQL planner uses the summary to order
-// basic-graph-pattern evaluation by estimated result cardinality.
+// A Summary holds only what the indexes cannot answer per pattern: the
+// totals, the distinct subject/predicate/object counts and, per
+// predicate, its triple count and distinct subjects and objects. On the
+// in-memory Hexastore these fall out of the pso and pos head vectors
+// without touching a triple. Per-subject and per-object counts are not
+// copied: the spo and osp heads already hold them, so estimates read
+// them through the graph's Count when asked. The SPARQL planner uses
+// the summary to order basic-graph-pattern evaluation by estimated
+// result cardinality.
 package stats
 
 import (
@@ -16,7 +20,6 @@ import (
 	"hexastore/internal/core"
 	"hexastore/internal/dictionary"
 	"hexastore/internal/graph"
-	"hexastore/internal/idlist"
 )
 
 // ID re-exports the dictionary id type.
@@ -39,79 +42,45 @@ type Summary struct {
 	PredDistinctS map[ID]int
 	// PredDistinctO is the number of distinct objects per predicate.
 	PredDistinctO map[ID]int
-	// ObjCount is the number of triples per object.
-	ObjCount map[ID]int
-	// SubjCount is the number of triples per subject.
-	SubjCount map[ID]int
+
+	// g is the graph the summary describes; subject- and object-bound
+	// estimates read exact counts from it.
+	g graph.Graph
 }
 
-// Build collects a Summary from st. Cost is proportional to the number
-// of distinct (head, key) pairs in the pso, pos, spo and osp indices,
-// which is at most the number of triples and usually far smaller.
-func Build(st *core.Store) *Summary {
+// Build collects a Summary of g. On the in-memory Hexastore every figure
+// is a head-vector length or a terminal-list total, so no triple is
+// touched; on the block-compressed layout (the bulk-load default) the
+// totals are stored and the cost is proportional to the number of
+// distinct predicates. Other backends pay one scan of their triples.
+func Build(g graph.Graph) (*Summary, error) {
 	s := &Summary{
-		DistinctS:     st.Heads(core.SPO),
-		DistinctP:     st.Heads(core.PSO),
-		DistinctO:     st.Heads(core.OSP),
 		PredCount:     make(map[ID]int),
 		PredDistinctS: make(map[ID]int),
 		PredDistinctO: make(map[ID]int),
-		ObjCount:      make(map[ID]int),
-		SubjCount:     make(map[ID]int),
+		g:             g,
 	}
-	for _, p := range st.HeadIDs(core.PSO) {
-		vec := st.Head(core.PSO, p)
-		s.PredDistinctS[p] = vec.Len()
-		n := 0
-		vec.Range(func(_ ID, list *idlist.List) bool {
-			n += list.Len()
-			return true
-		})
-		s.PredCount[p] = n
-		s.Triples += n
-		s.PredDistinctO[p] = st.Head(core.POS, p).Len()
-	}
-	for _, o := range st.HeadIDs(core.OSP) {
-		n := 0
-		st.Head(core.OSP, o).Range(func(_ ID, list *idlist.List) bool {
-			n += list.Len()
-			return true
-		})
-		s.ObjCount[o] = n
-	}
-	for _, subj := range st.HeadIDs(core.SPO) {
-		n := 0
-		st.Head(core.SPO, subj).Range(func(_ ID, list *idlist.List) bool {
-			n += list.Len()
-			return true
-		})
-		s.SubjCount[subj] = n
-	}
-	return s
-}
-
-// BuildGraph collects a Summary from any Graph backend with one full
-// scan of its triples. Backends wrapping a core.Store should prefer
-// Build, which reads the counts off the index heads without touching
-// the triples themselves.
-func BuildGraph(g graph.Graph) (*Summary, error) {
 	if st, ok := graph.Unwrap(g).(*core.Store); ok {
-		return Build(st), nil
+		s.DistinctS = st.Heads(core.SPO)
+		s.DistinctP = st.Heads(core.PSO)
+		s.DistinctO = st.Heads(core.OSP)
+		for _, pc := range st.Predicates() {
+			s.PredCount[pc.P] = pc.Triples
+			s.Triples += pc.Triples
+			s.PredDistinctS[pc.P] = pc.Subjects
+			s.PredDistinctO[pc.P] = pc.Objects
+		}
+		return s, nil
 	}
-	s := &Summary{
-		PredCount:     make(map[ID]int),
-		PredDistinctS: make(map[ID]int),
-		PredDistinctO: make(map[ID]int),
-		ObjCount:      make(map[ID]int),
-		SubjCount:     make(map[ID]int),
-	}
+	subjects := make(map[ID]struct{})
+	objects := make(map[ID]struct{})
 	predSubj := make(map[ID]map[ID]struct{})
 	predObj := make(map[ID]map[ID]struct{})
 	err := g.Match(None, None, None, func(sub, pred, obj ID) bool {
 		s.Triples++
-		s.SubjCount[sub]++
 		s.PredCount[pred]++
-		s.ObjCount[obj]++
+		subjects[sub] = struct{}{}
+		objects[obj] = struct{}{}
 		ps := predSubj[pred]
 		if ps == nil {
 			ps = make(map[ID]struct{})
@@ -135,16 +104,30 @@ func BuildGraph(g graph.Graph) (*Summary, error) {
 	for p, objs := range predObj {
 		s.PredDistinctO[p] = len(objs)
 	}
-	s.DistinctS = len(s.SubjCount)
+	s.DistinctS = len(subjects)
 	s.DistinctP = len(s.PredCount)
-	s.DistinctO = len(s.ObjCount)
+	s.DistinctO = len(objects)
 	return s, nil
+}
+
+// count returns the graph's exact count for a pattern, 0 when the graph
+// cannot answer.
+func (s *Summary) count(sub, pred, obj ID) float64 {
+	if s.g == nil {
+		return 0
+	}
+	n, err := s.g.Count(sub, pred, obj)
+	if err != nil {
+		return 0
+	}
+	return float64(n)
 }
 
 // EstimatePattern returns the estimated number of triples matching the
 // pattern ⟨s,p,o⟩ with None as the wildcard. Concrete subject/object ids
-// use the exact per-resource counts where available; combinations fall
-// back to uniformity (independence) assumptions, as in [41].
+// use the exact per-resource counts the graph's indexes hold;
+// combinations fall back to uniformity (independence) assumptions, as
+// in [41].
 func (s *Summary) EstimatePattern(sub, pred, obj ID) float64 {
 	if s.Triples == 0 {
 		return 0
@@ -183,16 +166,16 @@ func (s *Summary) EstimatePattern(sub, pred, obj ID) float64 {
 		}
 		return float64(pc) / float64(do)
 	case sub != None && obj != None:
-		sc := float64(s.SubjCount[sub])
-		oc := float64(s.ObjCount[obj])
+		sc := s.count(sub, None, None)
+		oc := s.count(None, None, obj)
 		// Independence: P(subject=s) * P(object=o) * T.
 		return min1(sc * oc / t)
 	case sub != None:
-		return float64(s.SubjCount[sub])
+		return s.count(sub, None, None)
 	case pred != None:
 		return float64(s.PredCount[pred])
 	case obj != None:
-		return float64(s.ObjCount[obj])
+		return s.count(None, None, obj)
 	default:
 		return t
 	}
@@ -205,17 +188,6 @@ func min1(est float64) float64 {
 		return 1e-9
 	}
 	return est
-}
-
-// EstimateJoin returns the estimated cardinality of joining two patterns
-// that share at least one variable, using the standard |A|*|B| /
-// max(distinct join keys) formula with the per-position distinct counts
-// as the key-domain proxy.
-func (s *Summary) EstimateJoin(cardA, cardB float64, joinDomain int) float64 {
-	if joinDomain <= 0 {
-		joinDomain = 1
-	}
-	return cardA * cardB / float64(joinDomain)
 }
 
 // String summarizes the summary, for diagnostics.

@@ -6,7 +6,19 @@ import (
 	"testing"
 
 	"hexastore/internal/core"
+	"hexastore/internal/graph"
+	"hexastore/internal/triplestore"
 )
+
+// build summarizes st through the memory-store path.
+func build(t *testing.T, st *core.Store) *Summary {
+	t.Helper()
+	sum, err := Build(graph.Memory(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
 
 // buildStore creates a store with a known distribution:
 //
@@ -32,7 +44,7 @@ func buildStore(t *testing.T) *core.Store {
 
 func TestBuildCounts(t *testing.T) {
 	st := buildStore(t)
-	sum := Build(st)
+	sum := build(t, st)
 	if sum.Triples != 125 {
 		t.Fatalf("Triples = %d, want 125", sum.Triples)
 	}
@@ -54,17 +66,14 @@ func TestBuildCounts(t *testing.T) {
 	if got := sum.PredDistinctO[2]; got != 1 {
 		t.Fatalf("PredDistinctO[2] = %d, want 1", got)
 	}
-	if got := sum.ObjCount[200]; got != 20 {
-		t.Fatalf("ObjCount[200] = %d, want 20", got)
-	}
-	if got := sum.SubjCount[1]; got != 10 {
-		t.Fatalf("SubjCount[1] = %d, want 10", got)
+	if sum.DistinctS != 35 || sum.DistinctO != 16 {
+		t.Fatalf("DistinctS, DistinctO = %d, %d, want 35, 16", sum.DistinctS, sum.DistinctO)
 	}
 }
 
 func TestEstimateExactForSingleBoundPositions(t *testing.T) {
 	st := buildStore(t)
-	sum := Build(st)
+	sum := build(t, st)
 	// Single-position estimates are exact (they read per-resource counts).
 	cases := []struct {
 		s, p, o ID
@@ -85,7 +94,7 @@ func TestEstimateExactForSingleBoundPositions(t *testing.T) {
 
 func TestEstimateTwoBoundPositions(t *testing.T) {
 	st := buildStore(t)
-	sum := Build(st)
+	sum := build(t, st)
 	// (s,1,?): predicate 1 has 100 triples over 10 subjects → 10.
 	if got := sum.EstimatePattern(1, 1, None); got != 10 {
 		t.Fatalf("Estimate(s,p,?) = %g, want 10", got)
@@ -102,7 +111,7 @@ func TestEstimateTwoBoundPositions(t *testing.T) {
 
 func TestEstimateFullyBound(t *testing.T) {
 	st := buildStore(t)
-	sum := Build(st)
+	sum := build(t, st)
 	// (s,1,o): 100/(10*10) = 1 — the grid is dense, the estimate exact.
 	if got := sum.EstimatePattern(1, 1, 101); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("Estimate(s,p,o) = %g, want 1", got)
@@ -111,7 +120,7 @@ func TestEstimateFullyBound(t *testing.T) {
 
 func TestEstimateUnknownResources(t *testing.T) {
 	st := buildStore(t)
-	sum := Build(st)
+	sum := build(t, st)
 	if got := sum.EstimatePattern(None, 99, None); got != 0 {
 		t.Fatalf("unknown predicate estimate = %g, want 0", got)
 	}
@@ -124,7 +133,7 @@ func TestEstimateUnknownResources(t *testing.T) {
 }
 
 func TestEstimateEmptyStore(t *testing.T) {
-	sum := Build(core.New())
+	sum := build(t, core.New())
 	if got := sum.EstimatePattern(None, None, None); got != 0 {
 		t.Fatalf("empty-store estimate = %g, want 0", got)
 	}
@@ -143,7 +152,7 @@ func TestEstimateOrdersSelectivityCorrectly(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st.Add(ID(rng.Intn(500)+1), 2, ID(rng.Intn(10)+2001))
 	}
-	sum := Build(st)
+	sum := build(t, st)
 	if sum.EstimatePattern(None, 2, None) >= sum.EstimatePattern(None, 1, None) {
 		t.Fatal("rare predicate estimated no cheaper than common one")
 	}
@@ -152,20 +161,62 @@ func TestEstimateOrdersSelectivityCorrectly(t *testing.T) {
 	}
 }
 
-func TestEstimateJoin(t *testing.T) {
-	sum := &Summary{Triples: 100, DistinctS: 10}
-	if got := sum.EstimateJoin(10, 20, 10); got != 20 {
-		t.Fatalf("EstimateJoin = %g, want 20", got)
-	}
-	if got := sum.EstimateJoin(10, 20, 0); got != 200 {
-		t.Fatalf("EstimateJoin with zero domain = %g, want 200", got)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
-	sum := Build(buildStore(t))
+	sum := build(t, buildStore(t))
 	s := sum.String()
 	if s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+func TestEstimateSubjectAndObjectBound(t *testing.T) {
+	sum := build(t, buildStore(t))
+	// Subject 1 has 10 triples, object 101 has 10: 10·10/125.
+	if got := sum.EstimatePattern(1, None, 101); math.Abs(got-0.8) > 1e-12 {
+		t.Fatalf("Estimate(s,?,o) = %g, want 0.8", got)
+	}
+}
+
+// TestScanMatchesIndexSummary checks that the one-scan path of Build
+// (any backend) and the index-head path (the memory Hexastore) describe
+// the same data identically, estimates included.
+func TestScanMatchesIndexSummary(t *testing.T) {
+	st := buildStore(t)
+	flat := triplestore.New(st.Dictionary())
+	st.Match(None, None, None, func(s, p, o ID) bool {
+		flat.Add(s, p, o)
+		return true
+	})
+	idx := build(t, st)
+	scan, err := Build(graph.Baseline(flat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.String() != scan.String() {
+		t.Fatalf("index path %s, scan path %s", idx, scan)
+	}
+	ids := []ID{None, 1, 2, 3, 11, 31, 101, 200, 305, 999}
+	for _, s := range ids {
+		for _, p := range ids {
+			for _, o := range ids {
+				if a, b := idx.EstimatePattern(s, p, o), scan.EstimatePattern(s, p, o); a != b {
+					t.Fatalf("Estimate(%d,%d,%d): index %g, scan %g", s, p, o, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateReadsLiveCounts checks that subject- and object-bound
+// estimates come from the indexes, not from a copy taken at Build.
+func TestEstimateReadsLiveCounts(t *testing.T) {
+	st := buildStore(t)
+	sum := build(t, st)
+	st.Add(1, 2, 200)
+	if got := sum.EstimatePattern(1, None, None); got != 11 {
+		t.Fatalf("Estimate(s,?,?) after Add = %g, want 11", got)
+	}
+	if got := sum.EstimatePattern(None, None, 200); got != 21 {
+		t.Fatalf("Estimate(?,?,o) after Add = %g, want 21", got)
 	}
 }

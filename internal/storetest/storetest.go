@@ -1,9 +1,9 @@
 // Package storetest is a cross-store equivalence harness: it drives
 // every triple-store implementation in this repository (the sextuple
 // Hexastore, the naive triples table, the COVP vertical-partitioning
-// baselines, the Kowari cyclic-index baseline, and the disk-based
-// Hexastore) with identical random workloads and verifies that all of
-// them answer every statement-pattern shape identically.
+// baselines, and the disk-based Hexastore) with identical random
+// workloads and verifies that all of them answer every
+// statement-pattern shape identically.
 //
 // The harness is what makes the benchmark comparisons in this repository
 // trustworthy: the stores being timed against each other are first
@@ -18,7 +18,6 @@ import (
 	"hexastore/internal/dictionary"
 	"hexastore/internal/disk"
 	"hexastore/internal/idlist"
-	"hexastore/internal/kowari"
 	"hexastore/internal/triplestore"
 	"hexastore/internal/vp"
 )
@@ -70,20 +69,6 @@ func (c *tripleStore) Add(s, p, o ID) bool    { return c.st.Add(s, p, o) }
 func (c *tripleStore) Remove(s, p, o ID) bool { return c.st.Remove(s, p, o) }
 func (c *tripleStore) Len() int               { return c.st.Len() }
 func (c *tripleStore) Match(s, p, o ID, fn func(s, p, o ID) bool) {
-	c.st.Match(s, p, o, fn)
-}
-
-// kowariStore adapts the cyclic-index baseline.
-type kowariStore struct{ st *kowari.Store }
-
-// NewKowari wraps a fresh Kowari-style cyclic-index store.
-func NewKowari() Store { return &kowariStore{st: kowari.New()} }
-
-func (c *kowariStore) Name() string           { return "kowari" }
-func (c *kowariStore) Add(s, p, o ID) bool    { return c.st.Add(s, p, o) }
-func (c *kowariStore) Remove(s, p, o ID) bool { return c.st.Remove(s, p, o) }
-func (c *kowariStore) Len() int               { return c.st.Len() }
-func (c *kowariStore) Match(s, p, o ID, fn func(s, p, o ID) bool) {
 	c.st.Match(s, p, o, fn)
 }
 
